@@ -14,16 +14,17 @@
 //!   repeat what-if pays) and a cold cell through the incremental
 //!   executor (sweep + record encode + store append, profiling amortised
 //!   into a shared cache as the serve layer does).
-//! * `batch/*` — the columnar batch planner: the full fig6-backends ×
+//! * `batch/*` — the batch planner: the full fig6-backends ×
 //!   dist × replicate matrix simulated as one `BatchPlan` pass
 //!   (profiling and classification pre-warmed, exactly what a repeat
 //!   sweep pays), and raw per-row planner throughput over a
 //!   thousand-row single-schedule plan.
-//! * `faults/*` — the faulty heap engine on the contended 16Ki shape: a
-//!   server brownout (stall-window bookkeeping per event) and a 10% RPC
-//!   loss retry storm (a FAULT draw per served op plus the retried server
-//!   work) — healthy rows never enter this engine, so these rows are its
-//!   only perf gate.
+//! * `faults/*` — the event heap's fault-hook instantiation on the
+//!   contended 16Ki shape: a server brownout (stall-window bookkeeping per
+//!   event) and a 10% RPC loss retry storm (a FAULT draw per served op
+//!   plus the retried server work) — healthy rows run the hook-free
+//!   instantiation of the same loop, so these rows are the hook's only
+//!   perf gate.
 //! * `servers/*` — the multi-server topology axis on the same contended
 //!   shape: `flatten_sweep` runs the fig6-servers fleet ladder
 //!   (S ∈ {1, 2, 4, 8, 16}, hash-routed) at 16Ki ranks back to back, and

@@ -1,46 +1,47 @@
-//! Columnar batch execution: simulate every pending (cell, rank point,
-//! replicate) of a sweep in one data-parallel pass.
+//! The batch engine: simulate every pending (cell, rank point,
+//! replicate) of a sweep in one pass, through the one row path the whole
+//! crate shares.
 //!
 //! The sweep layers above this module — [`crate::sweep`],
-//! [`crate::experiment`], and the incremental executor in `crates/serve` —
-//! used to issue one [`simulate_classified`](crate::simulate_classified) call per pending simulation.
-//! A full fig6-backends × dist × replicate matrix is thousands of such
-//! calls, each re-deriving the same facts about the same handful of
-//! segment schedules. [`BatchPlan`] turns that inside out:
+//! [`crate::experiment`], and the incremental executor in `crates/serve`
+//! — gather their pending simulations into a [`BatchPlan`]. A full
+//! fig6-backends × dist × replicate matrix is thousands of rows over a
+//! handful of segment schedules, and the plan solves each distinct piece
+//! of cold-fleet work once:
 //!
 //! 1. **Gather.** Callers register each distinct [`ClassifiedStream`]
 //!    once ([`BatchPlan::stream`]) and then push one *row* per pending
-//!    simulation ([`BatchPlan::push`]). Rows are stored
-//!    structure-of-arrays — one column per parameter (schedule id, rank
-//!    count, ranks per node, cold-node count, broadcast flag, seed,
-//!    distribution tag, overheads) — and each registered schedule is
-//!    itself columnarised: a `service_ns` column, a precomputed `gap_ns`
-//!    column, and the scalar aggregates (`warm_replay_ns`,
-//!    `local_total_ns`, tail/op counts) every row over that schedule
-//!    shares.
+//!    simulation ([`BatchPlan::push`]). A row keeps only what solving and
+//!    scattering it need: node count, fixed overheads, its solver class,
+//!    and its kernel key. The per-stream facts every row shares (warm
+//!    replay, local total, round-major verdict) were computed once by
+//!    [`ClassifiedStream::classify`].
 //!
-//! 2. **Partition.** At push time every row is classified into one of
-//!    four solver classes (see [`SolverClass`]), mirroring the regime
-//!    selection inside [`simulate_classified`](crate::simulate_classified) exactly.
+//! 2. **Partition.** At push time the regime selector puts every row into
+//!    one of four solver classes (see [`SolverClass`]).
 //!
-//! 3. **Advance in lockstep.** [`BatchPlan::execute`] first collapses
-//!    rows to unique *kernel jobs* — `(schedule, cold-node count, seed,
-//!    fault, server topology)` tuples, with the seed normalised away for draw-free rows
-//!    (deterministic service, no draw-taking fault), since the
-//!    cold-fleet completion time is a pure function of that tuple.
-//!    Replicate 0 of every rank point, every deterministic replicate,
-//!    and every cell that only differs in overheads or warm fleet size
-//!    all collapse onto the same kernel. Analytic kernels
-//!    then advance **in lockstep over the shared segment schedule**: one
-//!    outer loop per segment, one envelope update per live kernel, so
-//!    the schedule's columns are streamed once per batch instead of once
-//!    per simulation. Heap and stochastic kernels replay the schedule
-//!    through the retained per-row event heap (`des::heap_schedule`).
+//! 3. **Solve kernels.** [`BatchPlan::execute`] collapses rows to unique
+//!    *kernel jobs* — `(schedule, cold-node count, seed, fault, server
+//!    topology)` tuples, with the seed normalised away for draw-free rows
+//!    (deterministic service, no draw-taking fault), since the cold-fleet
+//!    completion time is a pure function of that tuple. Replicate 0 of
+//!    every rank point, every deterministic replicate, and every cell that
+//!    only differs in overheads or warm fleet size all collapse onto the
+//!    same kernel. Analytic kernels then advance **in lockstep over the
+//!    shared segment schedule**: one outer loop per segment, one envelope
+//!    update per live kernel, so the schedule is streamed once per batch
+//!    instead of once per simulation. Heap and stochastic kernels replay
+//!    the schedule through the event heap (`des::heap_schedule`).
 //!
 //! 4. **Scatter.** Each row combines its kernel's `(cold finish, peak
-//!    queue)` with the per-row arithmetic — warm-fleet replay, op
-//!    accounting, spawn and base overheads — reproducing
-//!    [`simulate_classified`](crate::simulate_classified)'s output bit for bit.
+//!    queue, fault counts)` with the per-row arithmetic — warm-fleet
+//!    replay, op accounting, spawn and base overheads.
+//!
+//! [`simulate_classified`](crate::simulate_classified) is the same path
+//! for a single row, without a plan: it selects the row's class, solves
+//! its kernel with the same solver (a lockstep of one live kernel, or the
+//! heap), and scatters it — so a plan's rows are bit-identical to per-row
+//! calls by construction, and a coalesced row allocates nothing.
 //!
 //! # The four solver classes
 //!
@@ -49,30 +50,23 @@
 //! | [`SolverClass::Coalesced`] | no server segments (fully warm / serverless) | O(1) scatter arithmetic |
 //! | [`SolverClass::Analytic`] | deterministic, ≥ 2 cold nodes, round-major schedule | amortised: one envelope update per (segment, kernel) |
 //! | [`SolverClass::Stochastic`] | jittered service distribution | one heap replay per kernel (seeds never collapse) |
-//! | [`SolverClass::Heap`] | deterministic but lone-cold-node or guard-violating, or any fault-injected row | one (faulty) heap replay per kernel |
+//! | [`SolverClass::Heap`] | deterministic but lone-cold-node or guard-violating, or any fault-injected row | one heap replay per kernel |
 //!
 //! A row pushed as `Analytic` can still *demote* to the heap mid-batch:
 //! the envelope cap (`MAX_ENVELOPE_LINES` in [`crate::des`]) is only
-//! discoverable during the recursion, and `simulate_classified` falls
-//! back to the heap when it trips. The lockstep does the same per
-//! kernel, so the fallback criterion — not just the happy path — is
-//! shared with the per-call implementation.
+//! discoverable during the recursion, so the lockstep hands a kernel
+//! whose envelope overflows to the heap.
 //!
 //! # Exactness
 //!
-//! Every numeric path here is the per-call one, re-plumbed: the envelope
-//! recursion is `des::envelope_round` (the same function
-//! `analytic_all_cold` runs), heap rows call `des::heap_schedule`, and
-//! stochastic draws reconstruct the per-(node, segment) [`SplitMix`]
-//! streams verbatim. `tests/des_equivalence.rs` pins the whole plan
-//! against per-call [`simulate_classified`](crate::simulate_classified) and the `des::reference`
-//! oracle property-by-property.
+//! The batch engine is pinned against the independent `des::reference`
+//! oracle property-by-property (`tests/des_equivalence.rs`,
+//! `tests/server_topology.rs`), and the in-crate suites compare every
+//! analytic kernel against the heap loop on the same row.
 
-use depchaos_workloads::SplitMix;
+use std::collections::HashMap;
 
-use crate::config::{
-    AssignPolicy, LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution,
-};
+use crate::config::{AssignPolicy, LaunchConfig, LaunchResult, ServerTopology};
 use crate::des::{self, ClassifiedStream, ClassifyParams};
 use crate::fault::{FaultCounts, FaultModel};
 
@@ -80,13 +74,10 @@ use crate::fault::{FaultCounts, FaultModel};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamId(usize);
 
-/// The solver class a row was partitioned into at push time.
-///
-/// Mirrors the regime selection inside [`simulate_classified`](crate::simulate_classified): which of
-/// the bit-identical implementations is cheapest for this row's
-/// (schedule, distribution, cold-fleet) combination.
-///
-/// [`simulate_classified`](crate::simulate_classified): crate::des::simulate_classified
+/// The solver class the regime selector put a row into at push time:
+/// which of the bit-identical solvers is cheapest for this row's
+/// (schedule, distribution, fault, cold-fleet) combination. The same
+/// selector runs inside [`simulate_classified`](crate::simulate_classified).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverClass {
     /// No server segments: warm or serverless rows coalesce to pure
@@ -106,185 +97,260 @@ pub enum SolverClass {
     /// envelope), a schedule that violates the round-major guard, or any
     /// fault-injected row — stalls and retries break the analytic
     /// symmetry, so every [`FaultModel`] other than `None` demotes here
-    /// (through the faulty engine) whatever the distribution.
+    /// whatever the distribution.
     Heap,
 }
 
-/// One registered segment schedule, laid out as columns plus the scalar
-/// aggregates every row over it shares.
-struct Schedule<'a> {
-    stream: &'a ClassifiedStream,
-    /// Per-segment server occupancy.
-    service_ns: Vec<u64>,
-    /// `gap_ns[j]` = time between finishing segment `j` and arriving for
-    /// segment `j + 1` (length `segments − 1`).
-    gap_ns: Vec<u64>,
-    /// Whether the round-major guard holds for any fleet of ≥ 2 cold
-    /// nodes (the guard is node-count independent).
-    round_major: bool,
-    half_rtt: u64,
-    warm_replay_ns: u64,
-    local_total_ns: u64,
-    n_ops: u64,
-    n_local: u64,
-    server_ops: u64,
-}
-
-/// One deduplicated unit of cold-fleet work: the completion time and
-/// peak queue depth of `cold_nodes` identical nodes replaying
-/// `schedule` against a `topology` fleet, seeded with `seed` when
-/// stochastic.
-struct Kernel {
-    schedule: usize,
-    cold_nodes: usize,
+/// One deduplicated unit of cold-fleet work: `cold_nodes` identical nodes
+/// replaying a schedule against a `topology` fleet under `fault`, seeded
+/// with `seed` when the row takes draws.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Kernel {
+    pub(crate) cold_nodes: usize,
     /// Normalised to 0 when the row takes no draws (deterministic service
     /// *and* a draw-free fault model), so such rows differing only in seed
     /// share the kernel.
-    seed: u64,
-    fault: FaultModel,
+    pub(crate) seed: u64,
+    pub(crate) fault: FaultModel,
     /// Server fleet shape — part of the dedup key: the same schedule and
     /// fleet over a different server count is different work.
-    topology: ServerTopology,
+    pub(crate) topology: ServerTopology,
+}
+
+/// A kernel's outcome: `(slowest cold finish, peak queue depth, fault
+/// counts)`.
+type KernelOut = (u64, usize, FaultCounts);
+
+/// One pending simulation, reduced to what solving and scattering it
+/// need.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    nodes: usize,
+    /// Base plus serialized per-rank spawn overhead.
+    overhead_ns: u64,
+    class: SolverClass,
+    kernel: Kernel,
+}
+
+impl Row {
+    /// The regime selector: reduce `cfg` to a row over `stream` and pick
+    /// its solver class. Panics if `cfg`'s latency calibration differs
+    /// from the stream's classification.
+    #[inline]
+    pub(crate) fn of(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Row {
+        assert_eq!(
+            stream.params(),
+            ClassifyParams::of(cfg),
+            "ClassifiedStream reused under a different latency calibration; reclassify"
+        );
+        let nodes = cfg.nodes();
+        // With a broadcast cache only node 0 pays the cold stream; the
+        // others see every op warm.
+        let cold_nodes = if cfg.broadcast_cache { 1 } else { nodes };
+        // Hash-routed lanes are independent single-server systems, so the
+        // envelope runs over the busiest lane; schedule-dependent
+        // `LeastLoaded` routing never qualifies. A one-node lane needs no
+        // round-major guard.
+        let servers = cfg.topology.servers.max(1);
+        let analytic_topology = servers == 1 || cfg.topology.assign == AssignPolicy::HashByNode;
+        let class = if stream.server_ops() == 0 {
+            // No server segments: no stall, loss, or straggler can
+            // manifest either, so faulted rows stay coalesced too.
+            SolverClass::Coalesced
+        } else if !cfg.fault.is_none() {
+            SolverClass::Heap
+        } else if !cfg.service_dist.is_deterministic() {
+            SolverClass::Stochastic
+        } else if cold_nodes > 1
+            && analytic_topology
+            && (cold_nodes.div_ceil(servers) == 1 || stream.round_major())
+        {
+            SolverClass::Analytic
+        } else {
+            SolverClass::Heap
+        };
+        let takes_draws = !cfg.service_dist.is_deterministic() || cfg.fault.takes_draws();
+        Row {
+            nodes,
+            overhead_ns: cfg.base_overhead_ns
+                + cfg.per_rank_overhead_ns * cfg.ranks_per_node.min(cfg.ranks) as u64,
+            class,
+            kernel: Kernel {
+                cold_nodes,
+                seed: if takes_draws { cfg.seed } else { 0 },
+                fault: cfg.fault,
+                topology: cfg.topology,
+            },
+        }
+    }
+
+    /// Solve this row alone: its kernel (if any) through
+    /// [`solve_kernels`], then the scatter.
+    #[inline]
+    pub(crate) fn simulate(&self, stream: &ClassifiedStream) -> LaunchResult {
+        let mut out = None;
+        if self.class != SolverClass::Coalesced {
+            let job = Job { id: 0, kernel: self.kernel, class: self.class };
+            solve_kernels(stream, &[job], |_, o| out = Some(o));
+        }
+        self.scatter(stream, out)
+    }
+
+    /// The scatter: combine the cold fleet's outcome — the row's kernel,
+    /// or for a coalesced row one local replay — with the warm fleet, the
+    /// op accounting, and the overheads.
+    #[inline]
+    fn scatter(&self, stream: &ClassifiedStream, kernel: Option<KernelOut>) -> LaunchResult {
+        let cold_nodes = self.kernel.cold_nodes;
+        let warm_nodes = self.nodes - cold_nodes;
+        // Warm nodes never interact with the server and replay identical
+        // streams: one analytic replay covers them all.
+        let warm_done_ns = if warm_nodes > 0 { stream.warm_replay_ns() } else { 0 };
+        let (cold_done_ns, peak_queue_depth, fc) =
+            kernel.unwrap_or((stream.local_total_ns(), 0, FaultCounts::default()));
+        LaunchResult {
+            time_to_launch_ns: self.overhead_ns + cold_done_ns.max(warm_done_ns),
+            nodes: self.nodes,
+            server_ops: cold_nodes as u64 * stream.server_ops(),
+            // Every cold node consumes the same local-class ops regardless
+            // of how the server queue interleaves them.
+            local_ops: warm_nodes as u64 * stream.len() + cold_nodes as u64 * stream.n_local(),
+            peak_queue_depth,
+            retries_issued: fc.retries,
+            timeouts_hit: fc.timeouts,
+            max_backoff_ns: fc.max_backoff_ns,
+            slowed_nodes: fc.slowed_nodes,
+        }
+    }
+}
+
+/// A kernel to solve, with the id its outcome is reported under.
+#[derive(Debug, Clone, Copy)]
+struct Job {
+    id: usize,
+    kernel: Kernel,
     class: SolverClass,
 }
 
-/// Sentinel kernel index for [`SolverClass::Coalesced`] rows.
-const NO_KERNEL: usize = usize::MAX;
+/// The kernel solver: every job over `stream`, reported through
+/// `done(id, outcome)`. Analytic jobs advance through the envelope recursion
+/// in lockstep; the rest — and any job whose envelope overflows the line
+/// cap — replay through the event heap.
+///
+/// # Why the envelope is exact
+///
+/// Every node issues segment 0 at the same instant, so the heap serves
+/// round 0 in node order, and completions within a round are the Lindley
+/// recursion `D(i,k) = max(D(i-1,k), A(i,k)) + s_k` whose unrolled
+/// solution is a **max-plus envelope of lines in the node index**: round 0
+/// is the single line `a₀ + (i+1)·s₀`. Each next round keeps the lines
+/// steeper than `s_k` (arrival-paced nodes, shifted by the inter-op gap
+/// and one service), folds the flatter ones into the server-paced chain
+/// line of slope `s_k`, and the envelope never grows beyond one line per
+/// distinct service time. The slowest finish is the envelope at
+/// `i = N-1` plus the response/tail time, and the peak queue depth is
+/// exactly the cold-node count: from the first pop until the first node
+/// retires, every node keeps one outstanding request in the calendar. The
+/// recursion assumes round-major service, which the selector checked
+/// (`ClassifiedStream::round_major`). Under an S-lane `HashByNode` fleet
+/// the lanes are independent single-server systems over the same
+/// schedule, so the envelope runs over the busiest lane — `ceil(cold / S)`
+/// nodes — which finishes last (adding a node to a FIFO lane never speeds
+/// it up).
+fn solve_kernels(stream: &ClassifiedStream, jobs: &[Job], mut done: impl FnMut(usize, KernelOut)) {
+    let segs = stream.server_segments();
+    let half_rtt = stream.params().rtt_ns / 2;
+    // One envelope per analytic job, over its busiest lane; a job whose
+    // envelope overflows the line cap is left with an empty one and
+    // replays through the heap instead.
+    let mut live: Vec<_> = jobs
+        .iter()
+        .filter(|job| job.class == SolverClass::Analytic)
+        .map(|job| {
+            let lane_nodes = job.kernel.cold_nodes.div_ceil(job.kernel.topology.servers.max(1));
+            (job, (lane_nodes - 1) as u64, vec![des::envelope_seed(segs, half_rtt)])
+        })
+        .collect();
+    if !live.is_empty() {
+        let mut scratch: Vec<(u64, u64)> = Vec::with_capacity(8);
+        for j in 1..segs.len() {
+            let (s, g_prev) = (segs[j].service_ns, des::seg_gap(&segs[j - 1], &segs[j], half_rtt));
+            for (_, last, lines) in live.iter_mut().filter(|(_, _, lines)| !lines.is_empty()) {
+                if !des::envelope_round(lines, &mut scratch, s, g_prev, *last) {
+                    lines.clear();
+                }
+            }
+        }
+    }
+    for (job, last, lines) in &live {
+        done(
+            job.id,
+            if lines.is_empty() {
+                des::heap_schedule(stream, &job.kernel)
+            } else {
+                let finish = des::envelope_finish(lines, stream, half_rtt, *last);
+                (finish, job.kernel.cold_nodes, FaultCounts::default())
+            },
+        );
+    }
+    for job in jobs.iter().filter(|job| job.class != SolverClass::Analytic) {
+        done(job.id, des::heap_schedule(stream, &job.kernel));
+    }
+}
 
-/// A columnar batch of pending simulations over shared segment
-/// schedules. See the module docs for the execution model; see
+/// A batch of pending simulations over shared segment schedules. See the
+/// module docs for the execution model; see
 /// [`crate::sweep::sweep_ranks_replicated`] and
-/// [`ExperimentMatrix::run`](crate::ExperimentMatrix::run) for the two in-crate
-/// callers, and `crates/serve`'s incremental executor for the third.
+/// [`ExperimentMatrix::run`](crate::ExperimentMatrix::run) for the two
+/// in-crate callers, and `crates/serve`'s incremental executor for the
+/// third.
 ///
 /// Row results come back from [`BatchPlan::execute`] in push order and
 /// are bit-identical to calling
-/// [`simulate_classified`](crate::simulate_classified)(crate::des::simulate_classified) per row.
+/// [`simulate_classified`](crate::simulate_classified) per row.
 pub struct BatchPlan<'a> {
-    schedules: Vec<Schedule<'a>>,
-    // Row columns (structure-of-arrays, one entry per pushed row).
-    row_schedule: Vec<u32>,
-    row_ranks: Vec<usize>,
-    row_ranks_per_node: Vec<usize>,
-    row_nodes: Vec<usize>,
-    row_cold_nodes: Vec<usize>,
-    row_seed: Vec<u64>,
-    row_dist: Vec<ServiceDistribution>,
-    row_fault: Vec<FaultModel>,
-    row_topology: Vec<ServerTopology>,
-    row_base_overhead_ns: Vec<u64>,
-    row_per_rank_overhead_ns: Vec<u64>,
-    row_class: Vec<SolverClass>,
+    streams: Vec<&'a ClassifiedStream>,
+    /// Pushed rows with the index of their stream.
+    rows: Vec<(usize, Row)>,
 }
 
 impl<'a> BatchPlan<'a> {
     pub fn new() -> Self {
-        BatchPlan {
-            schedules: Vec::new(),
-            row_schedule: Vec::new(),
-            row_ranks: Vec::new(),
-            row_ranks_per_node: Vec::new(),
-            row_nodes: Vec::new(),
-            row_cold_nodes: Vec::new(),
-            row_seed: Vec::new(),
-            row_dist: Vec::new(),
-            row_fault: Vec::new(),
-            row_topology: Vec::new(),
-            row_base_overhead_ns: Vec::new(),
-            row_per_rank_overhead_ns: Vec::new(),
-            row_class: Vec::new(),
-        }
+        BatchPlan { streams: Vec::new(), rows: Vec::new() }
     }
 
-    /// Register a classified stream, columnarising its segment schedule.
-    /// Registering the same `&ClassifiedStream` again (by address) is
-    /// deduplicated and returns the original id.
+    /// Register a classified stream. Registering the same
+    /// `&ClassifiedStream` again (by address) is deduplicated and returns
+    /// the original id.
     pub fn stream(&mut self, stream: &'a ClassifiedStream) -> StreamId {
-        if let Some(i) = self.schedules.iter().position(|s| std::ptr::eq(s.stream, stream)) {
+        if let Some(i) = self.streams.iter().position(|s| std::ptr::eq(*s, stream)) {
             return StreamId(i);
         }
-        let segs = stream.server_segments();
-        let half_rtt = stream.params().rtt_ns / 2;
-        let service_ns: Vec<u64> = segs.iter().map(|s| s.service_ns).collect();
-        let gap_ns: Vec<u64> =
-            (0..segs.len().saturating_sub(1)).map(|j| des::seg_gap(segs, half_rtt, j)).collect();
-        let round_major = !segs.is_empty() && des::round_major(segs, half_rtt);
-        self.schedules.push(Schedule {
-            stream,
-            service_ns,
-            gap_ns,
-            round_major,
-            half_rtt,
-            warm_replay_ns: stream.warm_replay_ns(),
-            local_total_ns: stream.local_total_ns(),
-            n_ops: stream.len(),
-            n_local: stream.n_local(),
-            server_ops: stream.server_ops(),
-        });
-        StreamId(self.schedules.len() - 1)
+        self.streams.push(stream);
+        StreamId(self.streams.len() - 1)
     }
 
     /// Push one pending simulation of `stream` under `cfg`, partitioning
     /// it into its solver class. Returns the row index ([`execute`]
     /// returns results in push order).
     ///
-    /// Panics like [`simulate_classified`](crate::simulate_classified) if `cfg`'s latency
-    /// calibration differs from the stream's classification.
+    /// Panics like [`simulate_classified`](crate::simulate_classified) if
+    /// `cfg`'s latency calibration differs from the stream's
+    /// classification.
     ///
     /// [`execute`]: BatchPlan::execute
-    /// [`simulate_classified`](crate::simulate_classified): crate::des::simulate_classified
     pub fn push(&mut self, stream: StreamId, cfg: &LaunchConfig) -> usize {
-        let sched = &self.schedules[stream.0];
-        assert_eq!(
-            sched.stream.params(),
-            ClassifyParams::of(cfg),
-            "ClassifiedStream reused under a different latency calibration; reclassify"
-        );
-        let nodes = cfg.nodes();
-        let cold_nodes = if cfg.broadcast_cache { 1 } else { nodes };
-        // Mirrors `all_cold_closed_form`'s topology guard: hash-routed
-        // lanes are independent single-server systems, so the envelope
-        // runs over the busiest lane; schedule-dependent `LeastLoaded`
-        // routing never qualifies. A one-node lane needs no guard.
-        let servers = cfg.topology.servers.max(1);
-        let analytic_topology = servers == 1 || cfg.topology.assign == AssignPolicy::HashByNode;
-        let lane_nodes = cold_nodes.div_ceil(servers);
-        let class = if sched.server_ops == 0 {
-            // No server segments: no stall, loss, or straggler can
-            // manifest either (`simulate_classified` skips the fault
-            // engine on an empty schedule), so faults stay coalesced.
-            SolverClass::Coalesced
-        } else if !cfg.fault.is_none() {
-            SolverClass::Heap
-        } else if !cfg.service_dist.is_deterministic() {
-            SolverClass::Stochastic
-        } else if cold_nodes > 1 && analytic_topology && (lane_nodes == 1 || sched.round_major) {
-            SolverClass::Analytic
-        } else {
-            SolverClass::Heap
-        };
-        self.row_schedule.push(stream.0 as u32);
-        self.row_ranks.push(cfg.ranks);
-        self.row_ranks_per_node.push(cfg.ranks_per_node);
-        self.row_nodes.push(nodes);
-        self.row_cold_nodes.push(cold_nodes);
-        self.row_seed.push(cfg.seed);
-        self.row_dist.push(cfg.service_dist);
-        self.row_fault.push(cfg.fault);
-        self.row_topology.push(cfg.topology);
-        self.row_base_overhead_ns.push(cfg.base_overhead_ns);
-        self.row_per_rank_overhead_ns.push(cfg.per_rank_overhead_ns);
-        self.row_class.push(class);
-        self.row_class.len() - 1
+        self.rows.push((stream.0, Row::of(self.streams[stream.0], cfg)));
+        self.rows.len() - 1
     }
 
     /// Rows gathered so far.
     pub fn len(&self) -> usize {
-        self.row_class.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.row_class.is_empty()
+        self.rows.is_empty()
     }
 
     /// Row counts per solver class, in `[Coalesced, Analytic,
@@ -292,8 +358,8 @@ impl<'a> BatchPlan<'a> {
     /// envelope-cap demotions during [`execute`](BatchPlan::execute).
     pub fn class_counts(&self) -> [usize; 4] {
         let mut counts = [0usize; 4];
-        for class in &self.row_class {
-            let i = match class {
+        for (_, row) in &self.rows {
+            let i = match row.class {
                 SolverClass::Coalesced => 0,
                 SolverClass::Analytic => 1,
                 SolverClass::Stochastic => 2,
@@ -304,200 +370,38 @@ impl<'a> BatchPlan<'a> {
         counts
     }
 
-    /// Solve every row: dedup to kernel jobs, advance the analytic class
-    /// in lockstep per schedule, replay heap/stochastic kernels, scatter
-    /// per-row results. Results are in push order, each bit-identical to
-    /// [`simulate_classified`](crate::simulate_classified)(crate::des::simulate_classified) on the
-    /// row's (stream, cfg).
+    /// Solve every row: dedup to kernel jobs, solve each stream's jobs
+    /// (analytic ones in lockstep), scatter per-row results. Results are
+    /// in push order, each bit-identical to
+    /// [`simulate_classified`](crate::simulate_classified) on the row's
+    /// (stream, cfg).
     pub fn execute(&self) -> Vec<LaunchResult> {
-        let (kernels, row_kernel) = self.gather_kernels();
-        let mut kernel_done: Vec<(u64, usize, FaultCounts)> =
-            vec![(0, 0, FaultCounts::default()); kernels.len()];
-
-        // Analytic kernels advance in lockstep, grouped by schedule.
-        let mut by_schedule: Vec<Vec<usize>> = vec![Vec::new(); self.schedules.len()];
-        let mut heap_jobs: Vec<usize> = Vec::new();
-        for (ki, k) in kernels.iter().enumerate() {
-            match k.class {
-                SolverClass::Analytic => by_schedule[k.schedule].push(ki),
-                SolverClass::Stochastic | SolverClass::Heap => heap_jobs.push(ki),
-                SolverClass::Coalesced => unreachable!("coalesced rows carry no kernel"),
-            }
-        }
-        for (si, job_ids) in by_schedule.iter().enumerate() {
-            if !job_ids.is_empty() {
-                self.lockstep_analytic(si, job_ids, &kernels, &mut kernel_done, &mut heap_jobs);
-            }
-        }
-
-        // Heap and stochastic kernels (plus analytic demotions) replay
-        // the schedule through the retained per-row event heap.
-        for &ki in &heap_jobs {
-            kernel_done[ki] = self.heap_kernel(&kernels[ki]);
-        }
-
-        // Scatter: per-row arithmetic identical to `simulate_classified`.
-        (0..self.len())
-            .map(|r| {
-                let sched = &self.schedules[self.row_schedule[r] as usize];
-                let nodes = self.row_nodes[r];
-                let cold_nodes = self.row_cold_nodes[r];
-                let warm_nodes = nodes - cold_nodes;
-                let warm_done_ns = if warm_nodes > 0 { sched.warm_replay_ns } else { 0 };
-                let local_ops = warm_nodes as u64 * sched.n_ops + cold_nodes as u64 * sched.n_local;
-                let server_ops = cold_nodes as u64 * sched.server_ops;
-                let (cold_done_ns, peak_queue_depth, fc) = match row_kernel[r] {
-                    NO_KERNEL => (sched.local_total_ns, 0, FaultCounts::default()),
-                    ki => kernel_done[ki],
-                };
-                let spawn_ns = self.row_per_rank_overhead_ns[r]
-                    * self.row_ranks_per_node[r].min(self.row_ranks[r]) as u64;
-                LaunchResult {
-                    time_to_launch_ns: self.row_base_overhead_ns[r]
-                        + spawn_ns
-                        + cold_done_ns.max(warm_done_ns),
-                    nodes,
-                    server_ops,
-                    local_ops,
-                    peak_queue_depth,
-                    retries_issued: fc.retries,
-                    timeouts_hit: fc.timeouts,
-                    max_backoff_ns: fc.max_backoff_ns,
-                    slowed_nodes: fc.slowed_nodes,
-                }
-            })
-            .collect()
-    }
-
-    /// Collapse rows to unique kernel jobs. Draw-free rows (deterministic
-    /// service and a draw-free fault model) normalise the seed to 0, so
-    /// rows differing only in seed share a kernel; coalesced rows map to
-    /// [`NO_KERNEL`].
-    fn gather_kernels(&self) -> (Vec<Kernel>, Vec<usize>) {
-        use std::collections::HashMap;
-        let mut kernels: Vec<Kernel> = Vec::new();
-        let mut index: HashMap<(u32, usize, u64, FaultModel, ServerTopology), usize> =
-            HashMap::new();
-        let row_kernel = (0..self.len())
-            .map(|r| {
-                if self.row_class[r] == SolverClass::Coalesced {
-                    return NO_KERNEL;
-                }
-                let takes_draws =
-                    !self.row_dist[r].is_deterministic() || self.row_fault[r].takes_draws();
-                let seed = if takes_draws { self.row_seed[r] } else { 0 };
-                let key = (
-                    self.row_schedule[r],
-                    self.row_cold_nodes[r],
-                    seed,
-                    self.row_fault[r],
-                    self.row_topology[r],
-                );
-                *index.entry(key).or_insert_with(|| {
-                    kernels.push(Kernel {
-                        schedule: self.row_schedule[r] as usize,
-                        cold_nodes: self.row_cold_nodes[r],
-                        seed,
-                        fault: self.row_fault[r],
-                        topology: self.row_topology[r],
-                        class: self.row_class[r],
-                    });
-                    kernels.len() - 1
+        // Collapse rows to unique kernel jobs, grouped by stream; coalesced
+        // rows carry no kernel.
+        let mut jobs: Vec<Vec<Job>> = vec![Vec::new(); self.streams.len()];
+        let mut index: HashMap<(usize, Kernel), usize> = HashMap::new();
+        let row_kernel: Vec<Option<usize>> = self
+            .rows
+            .iter()
+            .map(|&(si, row)| {
+                (row.class != SolverClass::Coalesced).then(|| {
+                    let next = index.len();
+                    *index.entry((si, row.kernel)).or_insert_with(|| {
+                        jobs[si].push(Job { id: next, kernel: row.kernel, class: row.class });
+                        next
+                    })
                 })
             })
             .collect();
-        (kernels, row_kernel)
-    }
-
-    /// Advance every analytic kernel of one schedule in lockstep: outer
-    /// loop over the segment columns, inner loop over the live kernels,
-    /// each holding its own envelope. A kernel whose envelope exceeds
-    /// the line cap demotes to `heap_jobs` — the same fallback
-    /// `simulate_classified` takes.
-    fn lockstep_analytic(
-        &self,
-        si: usize,
-        job_ids: &[usize],
-        kernels: &[Kernel],
-        kernel_done: &mut [(u64, usize, FaultCounts)],
-        heap_jobs: &mut Vec<usize>,
-    ) {
-        let sched = &self.schedules[si];
-        let segs = sched.stream.server_segments();
-        let seed_line = des::envelope_seed(segs, sched.half_rtt);
-        struct Live {
-            kernel: usize,
-            last: u64,
-            lines: Vec<(u64, u64)>,
+        let mut solved: Vec<KernelOut> = vec![(0, 0, FaultCounts::default()); index.len()];
+        for (stream, jobs) in self.streams.iter().zip(&jobs) {
+            solve_kernels(stream, jobs, |id, out| solved[id] = out);
         }
-        let mut live: Vec<Live> = job_ids
+        self.rows
             .iter()
-            .map(|&ki| {
-                // Hash-routed lanes: the envelope runs over the busiest
-                // lane (`ceil(cold / S)` nodes) — `all_cold_closed_form`'s
-                // `last`, verbatim. S = 1 reduces to the full cold fleet.
-                let k = &kernels[ki];
-                let lane_nodes = k.cold_nodes.div_ceil(k.topology.servers.max(1));
-                Live { kernel: ki, last: (lane_nodes - 1) as u64, lines: vec![seed_line] }
-            })
-            .collect();
-        let mut scratch: Vec<(u64, u64)> = Vec::with_capacity(8);
-        for j in 1..sched.service_ns.len() {
-            let s = sched.service_ns[j];
-            let g_prev = sched.gap_ns[j - 1];
-            live.retain_mut(|st| {
-                if des::envelope_round(&mut st.lines, &mut scratch, s, g_prev, st.last) {
-                    true
-                } else {
-                    heap_jobs.push(st.kernel);
-                    false
-                }
-            });
-            if live.is_empty() {
-                return;
-            }
-        }
-        for st in &live {
-            let done = des::envelope_finish(&st.lines, sched.stream, sched.half_rtt, st.last);
-            kernel_done[st.kernel] = (done, kernels[st.kernel].cold_nodes, FaultCounts::default());
-        }
-    }
-
-    /// Replay one heap or stochastic kernel through the per-row event
-    /// heap, reconstructing `simulate_classified`'s draw streams — the
-    /// faulty engine when the kernel carries a non-`None` fault model.
-    fn heap_kernel(&self, k: &Kernel) -> (u64, usize, FaultCounts) {
-        let sched = &self.schedules[k.schedule];
-        let params = sched.stream.params();
-        // The engines only read the calibration, seed, fault, and
-        // topology off the config; rebuild one from the classification
-        // params.
-        let cfg = LaunchConfig {
-            rtt_ns: params.rtt_ns,
-            meta_service_ns: params.meta_service_ns,
-            warm_ns: params.warm_ns,
-            service_dist: params.dist,
-            seed: k.seed,
-            fault: k.fault,
-            topology: k.topology,
-            ..LaunchConfig::default()
-        };
-        if !k.fault.is_none() {
-            des::heap_schedule_faulty(sched.stream, &cfg, k.cold_nodes)
-        } else if params.dist.is_deterministic() {
-            let (done, peak) =
-                des::heap_schedule(sched.stream, &cfg, k.cold_nodes, |_, seg| seg.service_ns);
-            (done, peak, FaultCounts::default())
-        } else {
-            let dist = params.dist;
-            let mut rngs: Vec<SplitMix> = (0..k.cold_nodes)
-                .map(|i| SplitMix::split(k.seed, SplitMix::NODE, i as u64))
-                .collect();
-            let (done, peak) = des::heap_schedule(sched.stream, &cfg, k.cold_nodes, |i, seg| {
-                des::scale_service_ns(seg.service_ns, dist.sample(&mut rngs[i]))
-            });
-            (done, peak, FaultCounts::default())
-        }
+            .zip(row_kernel)
+            .map(|(&(si, row), ki)| row.scatter(self.streams[si], ki.map(|k| solved[k])))
+            .collect()
     }
 }
 
@@ -510,8 +414,21 @@ impl Default for BatchPlan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceDistribution;
+    use crate::des::reference::simulate_launch_reference;
     use crate::des::simulate_classified;
     use depchaos_vfs::strace::{Op, Outcome, StraceLog, Syscall};
+
+    /// The plan's rows against the reference oracle and against per-call
+    /// `simulate_classified` (the one-row path, which skips the kernel
+    /// dedup and the multi-kernel lockstep).
+    fn assert_rows(plan: &BatchPlan, expected: &[LaunchResult], cfgs: &[LaunchConfig]) {
+        let got = plan.execute();
+        assert_eq!(got, expected);
+        for (&(si, _), (row, cfg)) in plan.rows.iter().zip(got.iter().zip(cfgs)) {
+            assert_eq!(row, &simulate_classified(plan.streams[si], cfg));
+        }
+    }
 
     fn log_of(spec: &[(Op, u64)]) -> StraceLog {
         let mut log = StraceLog::new();
@@ -528,8 +445,8 @@ mod tests {
         cfg
     }
 
-    /// A mixed plan — two streams, all four solver classes — matches
-    /// per-call `simulate_classified` row for row.
+    /// A mixed plan — two streams, all four solver classes — matches the
+    /// oracle and per-call `simulate_classified` row for row.
     #[test]
     fn mixed_plan_matches_per_call_path() {
         let base = LaunchConfig::default();
@@ -557,7 +474,7 @@ mod tests {
             .collect();
 
         let mut plan = BatchPlan::new();
-        let mut expected = Vec::new();
+        let (mut expected, mut cfgs) = (Vec::new(), Vec::new());
         for (sa, sb, cfg) in &streams {
             let ia = plan.stream(sa);
             let ib = plan.stream(sb);
@@ -567,9 +484,10 @@ mod tests {
                 let mut c = cfg.clone().with_ranks(ranks).with_seed(seed);
                 c.broadcast_cache = broadcast;
                 plan.push(ia, &c);
-                expected.push(simulate_classified(sa, &c));
+                expected.push(simulate_launch_reference(&ops_a, &c));
                 plan.push(ib, &c);
-                expected.push(simulate_classified(sb, &c));
+                expected.push(simulate_launch_reference(&ops_b, &c));
+                cfgs.extend([c.clone(), c]);
             }
         }
         assert_eq!(plan.len(), expected.len());
@@ -579,7 +497,7 @@ mod tests {
         assert!(counts[1] > 0, "multi-node deterministic rows are analytic: {counts:?}");
         assert!(counts[2] > 0, "jittered rows are stochastic: {counts:?}");
         assert!(counts[3] > 0, "broadcast deterministic rows fall back to the heap: {counts:?}");
-        assert_eq!(plan.execute(), expected);
+        assert_rows(&plan, &expected, &cfgs);
     }
 
     /// Re-registering the same stream dedups; pushing a stream under a
@@ -607,8 +525,8 @@ mod tests {
     }
 
     /// Fault-injected rows demote to the heap class, replay through the
-    /// faulty engine, and still match per-call `simulate_classified` row
-    /// for row — seeds collapsing only for draw-free models.
+    /// fault hook, and still match the oracle row for row — seeds
+    /// collapsing only for draw-free models.
     #[test]
     fn faulted_rows_match_per_call_path() {
         use crate::fault::FaultModel;
@@ -630,15 +548,16 @@ mod tests {
             let stream = ClassifiedStream::classify(&ops, &cfg);
             let mut plan = BatchPlan::new();
             let id = plan.stream(&stream);
-            let mut expected = Vec::new();
+            let (mut expected, mut cfgs) = (Vec::new(), Vec::new());
             for fault in faults {
                 for seed in [1u64, 99] {
                     let c = cfg.clone().with_seed(seed).with_fault(fault);
                     plan.push(id, &c);
-                    expected.push(simulate_classified(&stream, &c));
+                    expected.push(simulate_launch_reference(&ops, &c));
+                    cfgs.push(c);
                 }
             }
-            assert_eq!(plan.execute(), expected, "dist={}", dist.name());
+            assert_rows(&plan, &expected, &cfgs);
         }
     }
 
@@ -661,10 +580,10 @@ mod tests {
         for c in &cfgs {
             plan.push(id, c);
         }
-        let got = plan.execute();
-        assert_eq!(got[0], simulate_classified(&stream, &cfgs[0]));
-        assert_eq!(got[1], simulate_classified(&stream, &cfgs[1]));
-        assert_ne!(got[0].time_to_launch_ns, got[1].time_to_launch_ns);
+        let expected: Vec<LaunchResult> =
+            cfgs.iter().map(|c| simulate_launch_reference(&ops, c)).collect();
+        assert_rows(&plan, &expected, &cfgs);
+        assert_ne!(expected[0].time_to_launch_ns, expected[1].time_to_launch_ns);
     }
 
     /// Topology joins the kernel key: rows over every fleet shape (and
@@ -686,12 +605,13 @@ mod tests {
             let stream = ClassifiedStream::classify(&ops, &cfg);
             let mut plan = BatchPlan::new();
             let id = plan.stream(&stream);
-            let mut expected = Vec::new();
+            let (mut expected, mut cfgs) = (Vec::new(), Vec::new());
             for top in tops {
                 for ranks in [64usize, 2048] {
                     let c = cfg.clone().with_ranks(ranks).with_topology(top).with_seed(7);
                     plan.push(id, &c);
-                    expected.push(simulate_classified(&stream, &c));
+                    expected.push(simulate_launch_reference(&ops, &c));
+                    cfgs.push(c);
                 }
             }
             if dist.is_deterministic() {
@@ -699,7 +619,7 @@ mod tests {
                 assert!(counts[1] > 0, "hash fleets stay analytic: {counts:?}");
                 assert!(counts[3] > 0, "least-loaded fleets demote to the heap: {counts:?}");
             }
-            assert_eq!(plan.execute(), expected, "dist={}", dist.name());
+            assert_rows(&plan, &expected, &cfgs);
         }
     }
 }

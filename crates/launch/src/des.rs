@@ -12,39 +12,39 @@
 //! lane at service time with index tie-breaks. `S = 1` reduces every
 //! engine below to the pre-topology arithmetic bit for bit.
 //!
-//! # The hot path: classify once, then the cheapest exact regime
+//! # The hot path: classify once, then one engine
 //!
 //! Simulation is split into two phases so a rank sweep pays classification
 //! exactly once:
 //!
 //! 1. [`ClassifiedStream::classify`] turns the raw [`StraceLog`] into a
 //!    compact schedule: one segment per server round trip (its preceding
-//!    local-compute time folded into a single number) plus aggregate
-//!    counts. This is the only pass that touches the op stream, and its
-//!    output is immutable — [`crate::sweep_ranks`] and the experiment
-//!    engine share one `ClassifiedStream` across every rank point of a
-//!    cell instead of re-deriving (and re-allocating) it per point.
-//! 2. [`simulate_classified`] runs the DES against the schedule, picking
-//!    the cheapest of **three regimes that all produce bit-identical
-//!    results**:
+//!    local-compute time folded into a single number) plus the per-stream
+//!    facts every simulation over it shares (local compute total, warm
+//!    replay time, the round-major verdict). This is the only pass that
+//!    touches the op stream, and its output is immutable —
+//!    [`crate::sweep_ranks`] and the experiment engine share one
+//!    `ClassifiedStream` across every rank point of a cell instead of
+//!    re-deriving (and re-allocating) it per point.
+//! 2. The DES runs against the schedule. There are **two engines, and
+//!    they produce bit-identical results**:
 //!
-//!    * **Analytic** ([`analytic_all_cold`]) — the symmetric all-cold
-//!      fleet under deterministic service: when the segment schedule is
-//!      round-major (uniform metadata streams always are), the whole
-//!      fleet collapses to a max-plus line-envelope recursion over the
-//!      segments, `O(server_ops)` independent of the node count, exact
-//!      `peak_queue_depth` included. Warm and serverless nodes are always
-//!      coalesced analytically (one replay, multiplied out).
-//!    * **Heap** — cold nodes walk the segment schedule through a binary
-//!      event heap, one event per *server* op: `O(cold_nodes ×
-//!      server_ops · log cold_nodes)`. The fallback whenever the closed
-//!      form's guard declines (payload-heavy gaps can break round-major
-//!      ordering) and the stochastic path's engine.
+//!    * **Batch** ([`crate::batch`]) — the production engine. One row path
+//!      picks each simulation's [`SolverClass`](crate::SolverClass):
+//!      warm and serverless fleets coalesce analytically (one replay,
+//!      multiplied out); a deterministic, round-major all-cold fleet
+//!      collapses to a max-plus line-envelope recursion over the segments
+//!      (`O(server_ops)` independent of the node count, exact
+//!      `peak_queue_depth` included); everything else walks the segment
+//!      schedule through one binary event heap, one event per *server*
+//!      op: `O(cold_nodes × server_ops · log cold_nodes)`.
+//!      [`BatchPlan`](crate::BatchPlan) runs many rows at once;
+//!      [`simulate_classified`] is its one-row entry point.
 //!    * **Reference** ([`reference`](mod@reference)) — the retained oracle: every node
 //!      walks every op, `O(nodes × ops · log nodes)`. Never used by the
-//!      sweeps; exists so the other two have an independent ground truth
-//!      (`tests/des_equivalence.rs` and the in-crate suite pin all three
-//!      to bit-identical [`LaunchResult`]s by property test).
+//!      sweeps; exists so the batch engine has an independent ground truth
+//!      (`tests/des_equivalence.rs` and the in-crate suite pin the two to
+//!      bit-identical [`LaunchResult`]s by property test).
 //!
 //! # Stochastic service times
 //!
@@ -93,19 +93,20 @@
 //!
 //! # Fault injection
 //!
-//! `cfg.fault` (a [`FaultModel`]) selects a degraded-mode engine,
-//! `heap_schedule_faulty`: server brownout stalls postpone service
-//! starts, lost RPC responses are re-issued after client timeout plus
-//! exponential backoff (each retry is real extra server work), and a
+//! `cfg.fault` (a [`FaultModel`]) enters the event heap through a fault
+//! hook the heap loop is generic over: server brownout stalls postpone
+//! service starts, lost RPC responses are re-issued after client timeout
+//! plus exponential backoff (each retry is real extra server work), and a
 //! seeded fraction of cold nodes runs slow. Every fault draw comes from
 //! the FAULT domain, per cold node in that node's own event order —
 //! decorrelated from the NODE-domain service draws, so a faulted and a
 //! healthy cell of the same seed share service times (common random
-//! numbers). [`FaultModel::None`] never enters the faulty engine; its
-//! results are bit-identical to the pre-fault DES. [`reference`](mod@reference) carries
-//! the same fault semantics as the oracle, and `LaunchResult.server_ops`
-//! keeps counting *distinct* ops — retried attempts are accounted
-//! separately in `retries_issued`.
+//! numbers). [`FaultModel::None`] instantiates the loop with a hook whose
+//! every method is the identity, so its results are bit-identical to the
+//! pre-fault DES. [`reference`](mod@reference) carries the same fault
+//! semantics as the oracle, and `LaunchResult.server_ops` keeps counting
+//! *distinct* ops — retried attempts are accounted separately in
+//! `retries_issued`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -113,14 +114,17 @@ use std::collections::BinaryHeap;
 use depchaos_vfs::{Op, StraceLog};
 use depchaos_workloads::SplitMix;
 
-use crate::config::{AssignPolicy, LaunchConfig, LaunchResult, ServiceDistribution};
-use crate::fault::{backoff_ns, FaultCounts, FaultModel};
+use crate::batch::{Kernel, Row};
+use crate::config::{
+    AssignPolicy, LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution,
+};
+use crate::fault::{backoff_ns, FaultCounts, FaultHook, FaultInjector, FaultModel, Healthy};
 
 /// The per-server busy-until clocks of a [`crate::ServerTopology`] fleet,
 /// plus the routing policy. `S = 1` degenerates to the pre-topology single
 /// `server_busy_ns` cell exactly: one lane, always picked, same max/add
-/// sequence. Shared by the healthy heap, the faulty heap, and the
-/// [`reference`](mod@reference) oracle so all three route identically.
+/// sequence. Shared by the event heap and the [`reference`](mod@reference)
+/// oracle so both route identically.
 pub(crate) struct ServerLanes {
     /// Busy-until clock per server, indexed by lane.
     pub(crate) busy_ns: Vec<u64>,
@@ -128,8 +132,8 @@ pub(crate) struct ServerLanes {
 }
 
 impl ServerLanes {
-    pub(crate) fn new(cfg: &LaunchConfig) -> Self {
-        ServerLanes { busy_ns: vec![0; cfg.topology.servers.max(1)], assign: cfg.topology.assign }
+    pub(crate) fn new(topology: ServerTopology) -> Self {
+        ServerLanes { busy_ns: vec![0; topology.servers.max(1)], assign: topology.assign }
     }
 
     /// The lane serving `node`'s request popped at this instant. Both
@@ -149,15 +153,6 @@ impl ServerLanes {
                 best
             }
         }
-    }
-
-    /// Serve one request on `lane`: FIFO after the lane's previous work,
-    /// never before `arrival`. Returns the completion instant.
-    pub(crate) fn serve(&mut self, lane: usize, arrival: u64, service_ns: u64) -> u64 {
-        let start = self.busy_ns[lane].max(arrival);
-        let done = start + service_ns;
-        self.busy_ns[lane] = done;
-        done
     }
 }
 
@@ -200,7 +195,7 @@ const MAX_SERVICE_NS: u64 = 1 << 40;
 /// Apply a drawn factor to a base service time. Rounds toward zero and
 /// clamps to `1..=MAX_SERVICE_NS`: a pathological tail draw can neither
 /// produce a zero-occupancy server op nor overflow the simulation clocks.
-/// Crate-visible so [`crate::batch`]'s stochastic rows draw identically.
+/// Crate-visible so the straggler fault scales through the same clamp.
 pub(crate) fn scale_service_ns(base_ns: u64, factor: f64) -> u64 {
     let scaled = base_ns as f64 * factor;
     if scaled >= MAX_SERVICE_NS as f64 {
@@ -236,6 +231,12 @@ pub struct ClassifiedStream {
     n_ops: u64,
     /// Ops classified client-local (for a cold node).
     n_local: u64,
+    /// A cold node's total client-local compute.
+    local_total_ns: u64,
+    /// One fully warm replay.
+    warm_replay_ns: u64,
+    /// Whether the segment schedule passes the round-major guard.
+    round_major: bool,
 }
 
 impl ClassifiedStream {
@@ -245,40 +246,49 @@ impl ClassifiedStream {
     /// rest is client-local.
     pub fn classify(ops: &StraceLog, cfg: &LaunchConfig) -> Self {
         let params = ClassifyParams::of(cfg);
-        let mut segments = Vec::new();
-        let mut pre_local_ns = 0u64;
-        let mut n_local = 0u64;
+        let half_rtt = params.rtt_ns / 2;
+        let mut segments: Vec<ServerSeg> = Vec::new();
+        let (mut pre_local_ns, mut local_total_ns, mut n_local) = (0u64, 0u64, 0u64);
+        // The round-major guard, checked pair by pair as segments arrive.
+        let (mut round_major, mut prev_gap) = (true, 0u64);
         for e in &ops.entries {
-            if e.op == Op::Read {
+            let seg = if e.op == Op::Read {
                 // Data reads are bandwidth-bound, not IOPS-bound: the server
                 // streams to several clients at once, so its per-read
                 // occupancy is a fraction of the client-perceived transfer
                 // time; the client still spends the full cost receiving.
                 let service = (e.cost_ns / 8).max(params.meta_service_ns);
-                segments.push(ServerSeg {
+                ServerSeg {
                     pre_local_ns,
                     service_ns: service,
                     client_extra_ns: e.cost_ns.saturating_sub(service),
-                });
-                pre_local_ns = 0;
+                }
             } else if e.cost_ns >= params.rtt_ns {
-                segments.push(ServerSeg {
-                    pre_local_ns,
-                    service_ns: params.meta_service_ns,
-                    client_extra_ns: 0,
-                });
-                pre_local_ns = 0;
+                ServerSeg { pre_local_ns, service_ns: params.meta_service_ns, client_extra_ns: 0 }
             } else {
-                pre_local_ns += e.cost_ns.max(params.warm_ns);
+                let local = e.cost_ns.max(params.warm_ns);
+                pre_local_ns += local;
+                local_total_ns += local;
                 n_local += 1;
+                continue;
+            };
+            if let Some(prev) = segments.last() {
+                let g = seg_gap(prev, &seg, half_rtt);
+                round_major &= prev.service_ns + g > prev_gap;
+                prev_gap = g;
             }
+            segments.push(seg);
+            pre_local_ns = 0;
         }
         ClassifiedStream {
             params,
+            warm_replay_ns: local_total_ns + segments.len() as u64 * params.warm_ns,
+            round_major: round_major && !segments.is_empty(),
             segments,
             tail_local_ns: pre_local_ns,
             n_ops: ops.entries.len() as u64,
             n_local,
+            local_total_ns,
         }
     }
 
@@ -303,17 +313,35 @@ impl ClassifiedStream {
 
     /// A cold node's total client-local compute (excludes server waits).
     pub fn local_total_ns(&self) -> u64 {
-        self.segments.iter().map(|s| s.pre_local_ns).sum::<u64>() + self.tail_local_ns
+        self.local_total_ns
     }
 
     /// Wall time of one fully warm replay: every op, server-class or not,
     /// hits the node cache... except locals keep their own (higher) cost.
     pub(crate) fn warm_replay_ns(&self) -> u64 {
-        self.local_total_ns() + self.server_ops() * self.params.warm_ns
+        self.warm_replay_ns
     }
 
-    /// The per-server-op schedule, for the in-crate analytic consumers
-    /// ([`crate::queueing`]).
+    /// Whether a symmetric all-cold fleet of any size drains the schedule
+    /// round by round — the envelope recursion's exactness condition.
+    /// `false` for a serverless stream.
+    ///
+    /// The recursion assumes the server drains round `k` completely
+    /// before touching round `k+1`: true iff the *earliest* round-`k+1`
+    /// arrival lands strictly after the *latest* round-`k` arrival. Since
+    /// `D(0,k) ≥ D(N-1,k-1) + s_k`, the per-pair condition
+    /// `s_k + gap_k > gap_{k-1}` (gap = rtt + client extra + next
+    /// pre-local, see [`seg_gap`]) guarantees it for any fleet of two or
+    /// more cold nodes. Uniform metadata streams satisfy it trivially; a
+    /// payload-heavy read followed by a bare stat can violate it (its huge
+    /// gap lets node 0 lap the stragglers), and then the heap replays the
+    /// schedule.
+    pub(crate) fn round_major(&self) -> bool {
+        self.round_major
+    }
+
+    /// The per-server-op schedule, for the in-crate consumers
+    /// ([`crate::batch`]'s envelope lockstep, [`crate::queueing`]).
     pub(crate) fn server_segments(&self) -> &[ServerSeg] {
         &self.segments
     }
@@ -340,101 +368,67 @@ pub fn simulate_launch(ops: &StraceLog, cfg: &LaunchConfig) -> LaunchResult {
     simulate_classified(&ClassifiedStream::classify(ops, cfg), cfg)
 }
 
-/// The DES over a pre-classified stream. Exact — bit-identical to
-/// [`reference::simulate_launch_reference`] — but warm nodes cost O(1) and
-/// cold nodes cost one heap event per *server* op.
+/// The DES over a pre-classified stream: the batch engine's one-row entry
+/// point, a [`BatchPlan`](crate::BatchPlan) of one row without the plan.
+/// Exact — bit-identical to [`reference::simulate_launch_reference`] — but
+/// warm nodes cost O(1) and cold nodes one envelope step or one heap event
+/// per *server* op. A coalesced (warm or serverless) row allocates nothing.
 ///
 /// Panics if `cfg`'s latency calibration differs from the one the stream
 /// was classified under (rank count, node shape, overheads, and cache
 /// policy may differ freely).
 pub fn simulate_classified(stream: &ClassifiedStream, cfg: &LaunchConfig) -> LaunchResult {
-    assert_eq!(
-        stream.params(),
-        ClassifyParams::of(cfg),
-        "ClassifiedStream reused under a different latency calibration; reclassify"
-    );
-    let nodes = cfg.nodes();
-    // With a broadcast cache only node 0 pays the cold stream; the others
-    // see every op warm.
-    let cold_nodes = if cfg.broadcast_cache { 1 } else { nodes };
-    let warm_nodes = nodes - cold_nodes;
-
-    // Warm nodes never interact with the server and replay identical
-    // streams: one analytic replay covers them all.
-    let warm_done_ns = if warm_nodes > 0 { stream.warm_replay_ns() } else { 0 };
-    let mut local_ops = warm_nodes as u64 * stream.n_ops;
-
-    // Every cold node consumes the same local-class ops regardless of how
-    // the server queue interleaves them.
-    local_ops += cold_nodes as u64 * stream.n_local;
-    let server_ops = cold_nodes as u64 * stream.server_ops();
-
-    let (cold_done_ns, peak_queue_depth, fc) = if stream.segments.is_empty() {
-        // No server traffic: cold nodes take no draws under any
-        // distribution, so they are symmetric too — coalesce. No fault can
-        // manifest either (stalls, losses, and straggler slowdowns all act
-        // on server ops), so the fault engine is skipped and the counts
-        // stay zero.
-        (stream.local_total_ns(), 0, FaultCounts::default())
-    } else if !cfg.fault.is_none() {
-        // Degraded mode: the faulty event heap is the only engine —
-        // retries break the closed form's round-major symmetry and stalls
-        // its service pacing, so faulted rows never coalesce analytically.
-        heap_schedule_faulty(stream, cfg, cold_nodes)
-    } else if cfg.service_dist.is_deterministic() {
-        // The exact fast path: no RNG is even constructed, and when the
-        // fleet is symmetric with a round-major segment schedule (see
-        // `all_cold_closed_form`) not even the event heap — the cold fleet
-        // collapses to a line-envelope recursion over the segments. A lone
-        // cold node keeps the heap: its O(server_ops) walk is cheaper than
-        // maintaining the envelope.
-        let (done, peak) = (cold_nodes > 1)
-            .then(|| all_cold_closed_form(stream, cfg, cold_nodes))
-            .flatten()
-            .unwrap_or_else(|| heap_schedule(stream, cfg, cold_nodes, |_, seg| seg.service_ns));
-        (done, peak, FaultCounts::default())
-    } else {
-        // Stochastic: one independent draw stream per cold node, consumed
-        // in segment order (each node's events are pushed sequentially), so
-        // the factor for (node, segment) is schedule-independent.
-        let dist = cfg.service_dist;
-        let mut rngs: Vec<SplitMix> =
-            (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::NODE, i as u64)).collect();
-        let (done, peak) = heap_schedule(stream, cfg, cold_nodes, |i, seg| {
-            scale_service_ns(seg.service_ns, dist.sample(&mut rngs[i]))
-        });
-        (done, peak, FaultCounts::default())
-    };
-
-    // Per-node completion plus serialized per-rank spawn overhead.
-    let spawn_ns = cfg.per_rank_overhead_ns * cfg.ranks_per_node.min(cfg.ranks) as u64;
-    let slowest = cold_done_ns.max(warm_done_ns);
-    LaunchResult {
-        time_to_launch_ns: cfg.base_overhead_ns + spawn_ns + slowest,
-        nodes,
-        server_ops,
-        local_ops,
-        peak_queue_depth,
-        retries_issued: fc.retries,
-        timeouts_hit: fc.timeouts,
-        max_backoff_ns: fc.max_backoff_ns,
-        slowed_nodes: fc.slowed_nodes,
-    }
+    Row::of(stream, cfg).simulate(stream)
 }
 
-/// The event loop shared by the exact and stochastic paths: `cold_nodes`
-/// cursors over the segment schedule, one heap event per server op.
-/// `draw(node, segment)` supplies the service time — the deterministic
-/// instantiation reads it straight off the segment, the stochastic one
-/// scales it by the node's next factor. Returns `(slowest cold finish,
-/// peak queue depth)`. Crate-visible: [`crate::batch`] runs it per kernel
-/// job for the heap-fallback and stochastic solver classes.
-pub(crate) fn heap_schedule(
+/// The event heap: one kernel's `cold_nodes` cursors over the segment
+/// schedule, one heap event per server op, under the kernel's fault model
+/// and server fleet. Returns `(slowest cold finish, peak queue depth,
+/// fault counts)`.
+///
+/// The setup lives here once: stochastic kernels draw one factor per
+/// (node, segment) from the node's NODE-domain stream, and a faulted
+/// kernel hands the loop a [`FaultInjector`] (FAULT-domain streams,
+/// straggler membership drawn before any event). The loop itself is
+/// monomorphized per (draw, hook) pair, so a deterministic healthy kernel
+/// runs a draw-free, fault-free loop.
+pub(crate) fn heap_schedule(stream: &ClassifiedStream, k: &Kernel) -> (u64, usize, FaultCounts) {
+    if k.fault.is_none() {
+        let (done, peak) = draw_and_walk(stream, k, &mut Healthy);
+        return (done, peak, FaultCounts::default());
+    }
+    let mut faults = FaultInjector::new(k.fault, k.seed, k.cold_nodes, stream.params.rtt_ns / 2);
+    let (done, peak) = draw_and_walk(stream, k, &mut faults);
+    (done, peak, faults.counts)
+}
+
+/// Pick the service draw: the segment's own time under deterministic
+/// service, else each node's next factor — consumed in segment order
+/// (each node's events are pushed sequentially), so the factor for (node,
+/// segment) is schedule-independent.
+fn draw_and_walk<H: FaultHook>(
     stream: &ClassifiedStream,
-    cfg: &LaunchConfig,
-    cold_nodes: usize,
+    k: &Kernel,
+    hook: &mut H,
+) -> (u64, usize) {
+    let dist = stream.params.dist;
+    if dist.is_deterministic() {
+        return walk(stream, k, hook, |_, seg| seg.service_ns);
+    }
+    let mut rngs: Vec<SplitMix> =
+        (0..k.cold_nodes).map(|i| SplitMix::split(k.seed, SplitMix::NODE, i as u64)).collect();
+    walk(stream, k, hook, |i, seg| scale_service_ns(seg.service_ns, dist.sample(&mut rngs[i])))
+}
+
+/// The heap loop. `draw(node, segment)` supplies the service time, `hook`
+/// applies the fault model.
+fn walk<H: FaultHook>(
+    stream: &ClassifiedStream,
+    k: &Kernel,
+    hook: &mut H,
     mut draw: impl FnMut(usize, &ServerSeg) -> u64,
 ) -> (u64, usize) {
+    let half_rtt = stream.params.rtt_ns / 2;
     // Per-node cursor into the segment schedule and local clock. Only
     // cold nodes exist here, and only their server ops are events.
     struct Node {
@@ -442,45 +436,44 @@ pub(crate) fn heap_schedule(
         clock_ns: u64,
     }
     let mut node_state: Vec<Node> =
-        (0..cold_nodes).map(|_| Node { next_seg: 0, clock_ns: 0 }).collect();
+        (0..k.cold_nodes).map(|_| Node { next_seg: 0, clock_ns: 0 }).collect();
 
     // Event queue of (arrival at server, node, service time, client
     // extra) — the tuple layout (and so the tie-breaking order) of the
     // reference implementation.
     let mut heap: BinaryHeap<Reverse<(u64, usize, u64, u64)>> =
-        BinaryHeap::with_capacity(cold_nodes);
+        BinaryHeap::with_capacity(k.cold_nodes);
     let first = stream.segments[0];
     for (i, n) in node_state.iter_mut().enumerate() {
         n.clock_ns = first.pre_local_ns;
-        heap.push(Reverse((
-            n.clock_ns + cfg.rtt_ns / 2,
-            i,
-            draw(i, &first),
-            first.client_extra_ns,
-        )));
+        let svc = hook.service(i, draw(i, &first));
+        heap.push(Reverse((n.clock_ns + half_rtt, i, svc, first.client_extra_ns)));
     }
 
     let mut peak_queue_depth = 0usize;
-    let mut lanes = ServerLanes::new(cfg);
+    let mut lanes = ServerLanes::new(k.topology);
     let mut done_max_ns = 0u64;
     while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
         peak_queue_depth = peak_queue_depth.max(heap.len() + 1);
-        let done = lanes.serve(lanes.pick(i), arrival, svc);
+        // FIFO after the lane's previous work, never before `arrival`.
+        let lane = lanes.pick(i);
+        let done = hook.start(lanes.busy_ns[lane].max(arrival)) + svc;
+        lanes.busy_ns[lane] = done;
+        if let Some(resend) = hook.lost(i, arrival) {
+            heap.push(Reverse((resend, i, svc, extra)));
+            continue;
+        }
         // Client resumes after the response returns and it has consumed
         // the payload (reads stream for `extra` after the server moves
         // on), then computes locally until its next request.
         let n = &mut node_state[i];
-        n.clock_ns = done + cfg.rtt_ns / 2 + extra;
+        n.clock_ns = done + half_rtt + extra;
         n.next_seg += 1;
         match stream.segments.get(n.next_seg) {
             Some(seg) => {
                 n.clock_ns += seg.pre_local_ns;
-                heap.push(Reverse((
-                    n.clock_ns + cfg.rtt_ns / 2,
-                    i,
-                    draw(i, seg),
-                    seg.client_extra_ns,
-                )));
+                let svc = hook.service(i, draw(i, seg));
+                heap.push(Reverse((n.clock_ns + half_rtt, i, svc, seg.client_extra_ns)));
             }
             None => {
                 n.clock_ns += stream.tail_local_ns;
@@ -491,286 +484,19 @@ pub(crate) fn heap_schedule(
     (done_max_ns, peak_queue_depth)
 }
 
-/// The degraded-mode event loop: [`heap_schedule`]'s walk with `cfg.fault`
-/// executed event-accurately. Kept separate from the healthy engine — the
-/// million-rank bench gates that loop, and [`FaultModel::None`] rows never
-/// enter this one. The semantics, identical in [`reference`](mod@reference):
-///
-/// * **ServerStall** — an op whose service would *start* inside
-///   `[at_ns, at_ns + duration_ns)` waits until the window closes;
-///   in-flight service completes. Draw-free.
-/// * **RpcLoss** — after the server finishes an op (the work is done and
-///   the server-busy clock stands), the response is lost with probability
-///   `loss_milli / 1000` unless this was the node's attempt `max_retries`
-///   (forced success, no draw taken). A lost op is re-issued at
-///   `t_send + timeout_ns + backoff_base_ns · 2^attempt` with the *same*
-///   drawn service time — the retry is the same request, so no new NODE
-///   draw — and the node's segment cursor does not advance.
-/// * **Stragglers** — before any event, cold node `i` draws membership
-///   (`below(1000) < frac_milli`); members scale every (possibly
-///   dist-scaled) service time by `slow_milli / 1000` through the same
-///   clamp as the distribution factor.
-///
-/// Fault draws come from `SplitMix::split(cfg.seed, FAULT, node)`, consumed
-/// in the node's own event order — a node has exactly one outstanding
-/// request, so its verdict sequence is heap-schedule-independent, which is
-/// what keeps this engine and the reference oracle bit-identical.
-pub(crate) fn heap_schedule_faulty(
-    stream: &ClassifiedStream,
-    cfg: &LaunchConfig,
-    cold_nodes: usize,
-) -> (u64, usize, FaultCounts) {
-    let fault = cfg.fault;
-    let dist = cfg.service_dist;
-    let half_rtt = cfg.rtt_ns / 2;
-    let mut counts = FaultCounts::default();
-
-    let mut dist_rngs: Vec<SplitMix> = if dist.is_deterministic() {
-        Vec::new()
-    } else {
-        (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::NODE, i as u64)).collect()
-    };
-    let mut fault_rngs: Vec<SplitMix> = if fault.takes_draws() {
-        (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::FAULT, i as u64)).collect()
-    } else {
-        Vec::new()
-    };
-
-    // Straggler membership: one FAULT draw per cold node, in node order,
-    // before any event executes.
-    let (slow, slow_factor) = match fault {
-        FaultModel::Stragglers { frac_milli, slow_milli } => (
-            (0..cold_nodes)
-                .map(|i| fault_rngs[i].below(1000) < frac_milli as u64)
-                .collect::<Vec<bool>>(),
-            slow_milli as f64 / 1000.0,
-        ),
-        _ => (Vec::new(), 1.0),
-    };
-    counts.slowed_nodes = slow.iter().filter(|&&s| s).count();
-
-    let mut svc_for = |i: usize, seg: &ServerSeg| -> u64 {
-        let mut svc = if dist.is_deterministic() {
-            seg.service_ns
-        } else {
-            scale_service_ns(seg.service_ns, dist.sample(&mut dist_rngs[i]))
-        };
-        if slow.get(i).copied().unwrap_or(false) {
-            svc = scale_service_ns(svc, slow_factor);
-        }
-        svc
-    };
-
-    struct Node {
-        next_seg: usize,
-        clock_ns: u64,
-        /// Retry attempt of the node's outstanding request (RpcLoss).
-        attempt: u32,
-    }
-    let mut node_state: Vec<Node> =
-        (0..cold_nodes).map(|_| Node { next_seg: 0, clock_ns: 0, attempt: 0 }).collect();
-
-    let mut heap: BinaryHeap<Reverse<(u64, usize, u64, u64)>> =
-        BinaryHeap::with_capacity(cold_nodes);
-    let first = stream.segments[0];
-    for (i, n) in node_state.iter_mut().enumerate() {
-        n.clock_ns = first.pre_local_ns;
-        heap.push(Reverse((n.clock_ns + half_rtt, i, svc_for(i, &first), first.client_extra_ns)));
-    }
-
-    let mut peak_queue_depth = 0usize;
-    let mut lanes = ServerLanes::new(cfg);
-    let mut done_max_ns = 0u64;
-    while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
-        peak_queue_depth = peak_queue_depth.max(heap.len() + 1);
-        let lane = lanes.pick(i);
-        let mut start = lanes.busy_ns[lane].max(arrival);
-        if let FaultModel::ServerStall { at_ns, duration_ns } = fault {
-            // A brownout stalls the whole fleet: every lane's start inside
-            // the window waits for it to close.
-            let end = at_ns.saturating_add(duration_ns);
-            if start >= at_ns && start < end {
-                start = end;
-            }
-        }
-        let done = start + svc;
-        lanes.busy_ns[lane] = done;
-        let n = &mut node_state[i];
-        if let FaultModel::RpcLoss { loss_milli, timeout_ns, backoff_base_ns, max_retries } = fault
-        {
-            if n.attempt < max_retries && fault_rngs[i].below(1000) < loss_milli as u64 {
-                // Response lost: the server did the work (the busy clock
-                // above stands) but the client never hears back. It times
-                // out relative to its own send instant, sleeps its
-                // exponential backoff, and re-issues the same request.
-                let t_send = arrival - half_rtt;
-                let backoff = backoff_ns(backoff_base_ns, n.attempt);
-                counts.note_retry(backoff);
-                n.attempt += 1;
-                let resend = t_send.saturating_add(timeout_ns).saturating_add(backoff);
-                heap.push(Reverse((resend.saturating_add(half_rtt), i, svc, extra)));
-                continue;
-            }
-            n.attempt = 0;
-        }
-        n.clock_ns = done + half_rtt + extra;
-        n.next_seg += 1;
-        match stream.segments.get(n.next_seg) {
-            Some(seg) => {
-                n.clock_ns += seg.pre_local_ns;
-                heap.push(Reverse((
-                    n.clock_ns + half_rtt,
-                    i,
-                    svc_for(i, seg),
-                    seg.client_extra_ns,
-                )));
-            }
-            None => {
-                n.clock_ns += stream.tail_local_ns;
-                done_max_ns = done_max_ns.max(n.clock_ns);
-            }
-        }
-    }
-    (done_max_ns, peak_queue_depth, counts)
-}
-
-/// The analytic all-cold fast path: `simulate_classified`'s deterministic
-/// no-broadcast regime without the event heap. Returns the full
-/// [`LaunchResult`] when the closed form applies (see
-/// `all_cold_closed_form` for the exactness guard), `None` when the
-/// segment schedule forces a heap replay — callers and tests can tell
-/// *whether* the analytic regime engaged, and the result is bit-identical
-/// to [`simulate_classified`] whenever it does.
-pub fn analytic_all_cold(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<LaunchResult> {
-    if !cfg.service_dist.is_deterministic()
-        || !cfg.fault.is_none()
-        || cfg.broadcast_cache
-        || stream.segments.is_empty()
-    {
-        return None;
-    }
-    let nodes = cfg.nodes();
-    let (cold_done_ns, peak_queue_depth) = all_cold_closed_form(stream, cfg, nodes)?;
-    let spawn_ns = cfg.per_rank_overhead_ns * cfg.ranks_per_node.min(cfg.ranks) as u64;
-    Some(LaunchResult {
-        time_to_launch_ns: cfg.base_overhead_ns + spawn_ns + cold_done_ns,
-        nodes,
-        server_ops: nodes as u64 * stream.server_ops(),
-        local_ops: nodes as u64 * stream.n_local,
-        peak_queue_depth,
-        ..Default::default()
-    })
-}
-
-/// Upper bound on the line-envelope size before the closed form bails to
-/// the heap. The envelope holds at most one line per *distinct* service
-/// time still live, so real op streams (metadata ops share
+/// Upper bound on the line-envelope size before the envelope recursion
+/// bails to the heap. The envelope holds at most one line per *distinct*
+/// service time still live, so real op streams (metadata ops share
 /// `meta_service_ns`; reads bucket by size) stay in single digits — the cap
 /// only guards adversarial streams where O(lines) per segment would
 /// degenerate toward O(server_ops²).
 const MAX_ENVELOPE_LINES: usize = 64;
 
-/// Closed form for the symmetric all-cold fleet under deterministic
-/// service: `cold_nodes` identical nodes replay the segment schedule
-/// through the FIFO server, and the result is **bit-identical** to
-/// [`heap_schedule`] — `(slowest cold finish, peak queue depth)` — computed
-/// in `O(server_ops × envelope lines)` independent of the node count.
-///
-/// # Why this is exact
-///
-/// Every node issues segment 0 at the same instant, so the heap serves
-/// round 0 in node order, and completions within a round are the Lindley
-/// recursion `D(i,k) = max(D(i-1,k), A(i,k)) + s_k` whose unrolled solution
-/// is a **max-plus envelope of lines in the node index**: round 0 is the
-/// single line `a₀ + (i+1)·s₀`. Each next round keeps the lines steeper
-/// than `s_k` (arrival-paced nodes, shifted by the inter-op gap and one
-/// service), folds the flatter ones into the server-paced chain line of
-/// slope `s_k`, and the envelope never grows beyond one line per distinct
-/// service time. The slowest finish is the envelope at `i = N-1` plus the
-/// response/tail time, and the peak queue depth is exactly `cold_nodes`:
-/// from the first pop until the first node retires, every node keeps one
-/// outstanding request in the calendar.
-///
-/// # The round-major guard
-///
-/// The recursion assumes the server drains round `k` completely before
-/// touching round `k+1` — true iff the *earliest* round-`k+1` arrival lands
-/// strictly after the *latest* round-`k` arrival. Since
-/// `D(0,k) ≥ D(N-1,k-1) + s_k`, the condition `s_k + gap_k > gap_{k-1}`
-/// per consecutive segment pair guarantees it for any node count (gap =
-/// rtt + client extra + next pre-local). Uniform metadata streams satisfy
-/// it trivially; a payload-heavy read followed by a bare stat can violate
-/// it (its huge gap lets node 0 lap the stragglers), and then we return
-/// `None` and let the heap replay the schedule. A single cold node is
-/// always round-major.
-fn all_cold_closed_form(
-    stream: &ClassifiedStream,
-    cfg: &LaunchConfig,
-    cold_nodes: usize,
-) -> Option<(u64, usize)> {
-    let segs = &stream.segments;
-    let half_rtt = cfg.rtt_ns / 2;
-
-    // Under an S-lane `HashByNode` fleet the lanes are fully independent
-    // single-server systems over the same schedule (node `i` only ever
-    // talks to lane `i % S`), so the closed form runs per lane; the
-    // busiest lane — `ceil(cold / S)` nodes — finishes last (adding a
-    // node to a FIFO lane never speeds it up). `LeastLoaded` routing
-    // depends on the event schedule, so it is never analytic-eligible.
-    let servers = cfg.topology.servers.max(1);
-    if servers > 1 && cfg.topology.assign != AssignPolicy::HashByNode {
-        return None;
-    }
-    let lane_nodes = cold_nodes.div_ceil(servers);
-
-    if lane_nodes > 1 && !round_major(segs, half_rtt) {
-        return None;
-    }
-
-    // The envelope: D(i, round) = max over lines of (c + i·slope), for
-    // lane-local node index i in [0, lane_nodes). Round 0: every node
-    // arrives at a₀ = pre_local₀ + rtt/2 and is served back to back. Two
-    // buffers swap roles per round, so the whole recursion allocates
-    // twice, total.
-    let last = (lane_nodes - 1) as u64;
-    let mut lines: Vec<(u64, u64)> = Vec::with_capacity(8);
-    let mut scratch: Vec<(u64, u64)> = Vec::with_capacity(8);
-    lines.push(envelope_seed(segs, half_rtt));
-    for j in 1..segs.len() {
-        if !envelope_round(
-            &mut lines,
-            &mut scratch,
-            segs[j].service_ns,
-            seg_gap(segs, half_rtt, j - 1),
-            last,
-        ) {
-            return None;
-        }
-    }
-
-    Some((envelope_finish(&lines, stream, half_rtt, last), cold_nodes))
-}
-
-/// Gap between finishing server op `j` and arriving for op `j + 1`,
-/// exactly as the heap accumulates it (half_rtt twice, not rtt once:
-/// integer halving must round the same way).
-pub(crate) fn seg_gap(segs: &[ServerSeg], half_rtt: u64, j: usize) -> u64 {
-    2 * half_rtt + segs[j].client_extra_ns + segs[j + 1].pre_local_ns
-}
-
-/// The round-major guard of `all_cold_closed_form`, node-count
-/// independent for any fleet of two or more cold nodes: every consecutive
-/// segment pair must satisfy `s_k + gap_k > gap_{k-1}`.
-pub(crate) fn round_major(segs: &[ServerSeg], half_rtt: u64) -> bool {
-    let mut prev_gap = 0u64;
-    for (j, seg) in segs[..segs.len() - 1].iter().enumerate() {
-        let g = seg_gap(segs, half_rtt, j);
-        if seg.service_ns + g <= prev_gap {
-            return false;
-        }
-        prev_gap = g;
-    }
-    true
+/// Gap between finishing server op `prev` and arriving for the next op
+/// `next`, exactly as the heap accumulates it (half_rtt twice, not rtt
+/// once: integer halving must round the same way).
+pub(crate) fn seg_gap(prev: &ServerSeg, next: &ServerSeg, half_rtt: u64) -> u64 {
+    2 * half_rtt + prev.client_extra_ns + next.pre_local_ns
 }
 
 /// Round 0 of the envelope: every node arrives at `a₀ = pre_local₀ +
@@ -786,8 +512,7 @@ pub(crate) fn envelope_seed(segs: &[ServerSeg], half_rtt: u64) -> (u64, u64) {
 /// time `s` reached over inter-op gap `g_prev`, for a fleet whose last
 /// node index is `last`. Returns `false` — envelope abandoned — when the
 /// line count exceeds [`MAX_ENVELOPE_LINES`]; the caller falls back to
-/// the heap. Shared verbatim by the per-call closed form and the batch
-/// lockstep in [`crate::batch`], which is what keeps the two bit-identical.
+/// the heap.
 pub(crate) fn envelope_round(
     lines: &mut Vec<(u64, u64)>,
     scratch: &mut Vec<(u64, u64)>,
@@ -851,7 +576,7 @@ pub mod reference {
     //! post-freeze extensions are the stochastic service draw, which
     //! mirrors the fast path's per-(node, segment) [`SplitMix`] streams so
     //! the oracle covers the jittered regimes too, and the fault engine,
-    //! which mirrors `super::heap_schedule_faulty` semantics (stall
+    //! which mirrors the fast path's fault hook semantics (stall
     //! windows, loss/retry with the same drawn service and an unadvanced
     //! cursor, straggler membership) from the same FAULT-domain streams;
     //! under [`ServiceDistribution::Deterministic`] with
@@ -915,7 +640,7 @@ pub mod reference {
         };
         // Fault draws: node i's FAULT-domain stream, consumed in the node's
         // own event order (membership first under Stragglers, per served op
-        // under RpcLoss) — exactly heap_schedule_faulty's discipline.
+        // under RpcLoss) — exactly the fast path's fault-hook discipline.
         let mut fault_rngs: Vec<SplitMix> = if fault.takes_draws() {
             (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::FAULT, i as u64)).collect()
         } else {
@@ -995,7 +720,7 @@ pub mod reference {
             }
         }
 
-        let mut lanes = ServerLanes::new(cfg);
+        let mut lanes = ServerLanes::new(cfg.topology);
         let mut peak_queue_depth = 0usize;
         while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
             peak_queue_depth = peak_queue_depth.max(heap.len() + 1);
@@ -1056,7 +781,7 @@ pub mod reference {
 mod tests {
     use super::reference::simulate_launch_reference;
     use super::*;
-    use crate::config::ServerTopology;
+    use crate::batch::BatchPlan;
     use depchaos_vfs::{Outcome, Syscall};
 
     fn stream(n_cold: usize, n_warm: usize) -> StraceLog {
@@ -1358,8 +1083,8 @@ mod tests {
 
     #[test]
     fn zero_impact_faults_reproduce_healthy_results() {
-        // The faulty engine with a model that cannot fire must agree with
-        // the healthy engine bit for bit — including under jitter, which
+        // The fault hook with a model that cannot fire must agree with
+        // the healthy loop bit for bit — including under jitter, which
         // pins the common-random-numbers discipline: FAULT-domain draws
         // never perturb the NODE-domain service draws.
         let ops = stream(120, 30);
@@ -1496,53 +1221,87 @@ mod tests {
         log
     }
 
+    /// Whether the regime selector puts (stream, cfg) on the envelope
+    /// recursion, as a one-row plan reports it.
+    fn analytic(classified: &ClassifiedStream, cfg: &LaunchConfig) -> bool {
+        let mut plan = BatchPlan::new();
+        let id = plan.stream(classified);
+        plan.push(id, cfg);
+        plan.class_counts()[1] == 1
+    }
+
+    /// The event heap's `(slowest finish, peak queue depth)` for the
+    /// healthy all-cold fleet of `cfg`.
+    fn heap_only(classified: &ClassifiedStream, cfg: &LaunchConfig) -> (u64, usize) {
+        let kernel = Kernel {
+            cold_nodes: cfg.nodes(),
+            seed: 0,
+            fault: FaultModel::None,
+            topology: cfg.topology,
+        };
+        let (done, peak, counts) = heap_schedule(classified, &kernel);
+        assert_eq!(counts, FaultCounts::default());
+        (done, peak)
+    }
+
+    /// `simulate_classified`'s `(launch time, peak queue depth)` under a
+    /// zero-overhead, all-cold config: exactly the kernel's outcome.
+    fn launch_and_peak(classified: &ClassifiedStream, cfg: &LaunchConfig) -> (u64, usize) {
+        assert_eq!((cfg.base_overhead_ns, cfg.per_rank_overhead_ns), (0, 0));
+        let r = simulate_classified(classified, cfg);
+        (r.time_to_launch_ns, r.peak_queue_depth)
+    }
+
     #[test]
     fn closed_form_matches_the_heap_bit_for_bit_whenever_it_engages() {
-        // The in-module ground truth: whenever the round-major guard admits
-        // a stream, the envelope recursion must reproduce heap_schedule's
-        // (slowest finish, peak queue depth) exactly — same tie-breaks,
-        // same integer halving. Random streams exercise both guard
-        // verdicts; the uniform metadata stream must always engage.
-        let mut engaged = 0;
+        // The in-module ground truth: whenever the selector admits a
+        // stream to the envelope recursion, it must reproduce the heap
+        // loop's (slowest finish, peak queue depth) exactly — same
+        // tie-breaks, same integer halving. Random streams exercise both
+        // guard verdicts on multi-node fleets; one server per node (a
+        // one-node lane, which needs no guard) always engages.
+        let (mut engaged, mut private_lanes) = (0, 0);
         for seed in 0..40u64 {
             let ops = random_stream(seed, (seed % 60) as usize + 1);
-            for ranks in [1usize, 128, 2048, 8192] {
-                let cfg = fast_cfg().with_ranks(ranks);
-                let classified = ClassifiedStream::classify(&ops, &cfg);
-                if classified.segments.is_empty() {
-                    continue;
-                }
-                let cold = cfg.nodes();
-                if let Some(analytic) = all_cold_closed_form(&classified, &cfg, cold) {
-                    engaged += 1;
-                    let heap = heap_schedule(&classified, &cfg, cold, |_, seg| seg.service_ns);
-                    assert_eq!(analytic, heap, "seed={seed} ranks={ranks}");
+            for ranks in [256usize, 2048, 8192] {
+                let shared = fast_cfg().with_ranks(ranks);
+                let private = shared.clone().with_topology(ServerTopology::hash(shared.nodes()));
+                for (cfg, count) in [(shared, &mut engaged), (private, &mut private_lanes)] {
+                    let classified = ClassifiedStream::classify(&ops, &cfg);
+                    if classified.segments.is_empty() || !analytic(&classified, &cfg) {
+                        continue;
+                    }
+                    *count += 1;
+                    assert_eq!(
+                        launch_and_peak(&classified, &cfg),
+                        heap_only(&classified, &cfg),
+                        "seed={seed} ranks={ranks} servers={}",
+                        cfg.topology.servers
+                    );
                 }
             }
         }
-        assert!(engaged > 20, "the guard admitted only {engaged} cases — generator too hostile");
-        for ranks in [1usize, 512, 16 * 1024] {
+        assert!(engaged > 10, "the guard admitted only {engaged} shared-lane cases");
+        assert!(private_lanes > 100, "one-node lanes engage whenever the stream has server ops");
+        for ranks in [512usize, 16 * 1024] {
             let cfg = fast_cfg().with_ranks(ranks);
             let classified = ClassifiedStream::classify(&stream(200, 50), &cfg);
-            assert!(
-                all_cold_closed_form(&classified, &cfg, cfg.nodes()).is_some(),
-                "uniform cold metadata streams are always round-major"
-            );
+            assert!(analytic(&classified, &cfg), "uniform cold metadata streams are round-major");
         }
     }
 
     #[test]
-    fn analytic_all_cold_is_simulate_classified_when_it_engages() {
+    fn analytic_regime_is_the_heap_and_the_oracle_when_it_engages() {
         for (nc, nw) in [(1usize, 0usize), (100, 0), (37, 63), (1, 499), (200, 50)] {
             let ops = stream(nc, nw);
-            for ranks in [1usize, 128, 2048] {
+            for ranks in [256usize, 2048] {
                 let cfg = fast_cfg().with_ranks(ranks);
                 let classified = ClassifiedStream::classify(&ops, &cfg);
-                let analytic = analytic_all_cold(&classified, &cfg)
-                    .expect("uniform streams engage the closed form");
-                assert_eq!(analytic, simulate_classified(&classified, &cfg));
-                assert_eq!(analytic, simulate_launch_reference(&ops, &cfg));
-                assert_eq!(analytic.peak_queue_depth, cfg.nodes(), "every cold node queues");
+                assert!(analytic(&classified, &cfg), "uniform streams engage the closed form");
+                let r = simulate_classified(&classified, &cfg);
+                assert_eq!((r.time_to_launch_ns, r.peak_queue_depth), heap_only(&classified, &cfg));
+                assert_eq!(r, simulate_launch_reference(&ops, &cfg));
+                assert_eq!(r.peak_queue_depth, cfg.nodes(), "every cold node queues");
             }
         }
     }
@@ -1551,8 +1310,9 @@ mod tests {
     fn analytic_declines_what_it_cannot_prove() {
         // A payload-heavy read's huge client gap followed by a bare stat
         // breaks round-major ordering for a multi-node fleet: node 0 laps
-        // the stragglers. The closed form must decline (and the heap keep
-        // the result exact) — yet a single cold node is always admitted.
+        // the stragglers. The selector must decline the closed form (and
+        // the heap keep the result exact) — yet a one-node lane needs no
+        // guard, and a lone cold node takes the cheaper heap walk.
         let mut ops = StraceLog::new();
         ops.push(Syscall::new(Op::Read, "/data/big", Outcome::Ok, 4_000_000));
         for i in 0..10 {
@@ -1560,25 +1320,33 @@ mod tests {
         }
         let multi = fast_cfg().with_ranks(2048);
         let classified = ClassifiedStream::classify(&ops, &multi);
-        assert!(analytic_all_cold(&classified, &multi).is_none());
+        assert!(!classified.round_major());
+        assert!(!analytic(&classified, &multi));
         assert_eq!(
             simulate_classified(&classified, &multi),
             simulate_launch_reference(&ops, &multi),
             "the heap fallback stays exact where the closed form declines"
         );
+        let private = multi.clone().with_topology(ServerTopology::hash(16)); // 16 nodes
+        assert!(analytic(&classified, &private), "one node per lane is always round-major");
+        assert_eq!(launch_and_peak(&classified, &private), heap_only(&classified, &private));
         let single = fast_cfg().with_ranks(64); // one node
-        let classified = ClassifiedStream::classify(&ops, &single);
-        assert!(analytic_all_cold(&classified, &single).is_some());
+        assert!(!analytic(&classified, &single));
 
         // Stochastic and broadcast regimes are out of the analytic scope by
-        // construction.
+        // construction, even over a round-major stream.
+        let uniform = stream(100, 0);
         let jitter = fast_cfg()
             .with_ranks(2048)
             .with_service_dist(ServiceDistribution::uniform_jitter(0.25));
-        assert!(analytic_all_cold(&ClassifiedStream::classify(&ops, &jitter), &jitter).is_none());
+        assert!(!analytic(&ClassifiedStream::classify(&uniform, &jitter), &jitter));
         let mut bcast = fast_cfg().with_ranks(2048);
         bcast.broadcast_cache = true;
-        assert!(analytic_all_cold(&ClassifiedStream::classify(&ops, &bcast), &bcast).is_none());
+        assert!(!analytic(&ClassifiedStream::classify(&uniform, &bcast), &bcast));
+        let stall = fast_cfg()
+            .with_ranks(2048)
+            .with_fault(FaultModel::ServerStall { at_ns: 0, duration_ns: 1 });
+        assert!(!analytic(&ClassifiedStream::classify(&uniform, &stall), &stall));
     }
 
     #[test]
@@ -1593,7 +1361,7 @@ mod tests {
         let classified = ClassifiedStream::classify(&ops, &cfg);
         let r = simulate_classified(&classified, &cfg);
         assert!(t0.elapsed().as_secs_f64() < 1.0, "took {:?}", t0.elapsed());
-        assert_eq!(r, analytic_all_cold(&classified, &cfg).expect("uniform stream engages"));
+        assert!(analytic(&classified, &cfg), "uniform stream engages");
         assert_eq!(r.nodes, 262_144);
         assert_eq!(r.peak_queue_depth, 262_144, "the whole fleet queues at once");
         // Sanity: the launch cannot beat the server's serial capacity.
@@ -1695,11 +1463,13 @@ mod tests {
                     if classified.segments.is_empty() {
                         continue;
                     }
-                    let cold = cfg.nodes();
-                    if let Some(analytic) = all_cold_closed_form(&classified, &cfg, cold) {
+                    if analytic(&classified, &cfg) {
                         engaged += 1;
-                        let heap = heap_schedule(&classified, &cfg, cold, |_, seg| seg.service_ns);
-                        assert_eq!(analytic, heap, "seed={seed} servers={servers} ranks={ranks}");
+                        assert_eq!(
+                            launch_and_peak(&classified, &cfg),
+                            heap_only(&classified, &cfg),
+                            "seed={seed} servers={servers} ranks={ranks}"
+                        );
                     }
                 }
             }
@@ -1713,7 +1483,7 @@ mod tests {
         let cfg = fast_cfg().with_ranks(2048).with_topology(ServerTopology::least_loaded(4));
         let classified = ClassifiedStream::classify(&ops, &cfg);
         assert!(
-            analytic_all_cold(&classified, &cfg).is_none(),
+            !analytic(&classified, &cfg),
             "schedule-dependent routing must decline the closed form"
         );
         assert_eq!(simulate_classified(&classified, &cfg), simulate_launch_reference(&ops, &cfg));
@@ -1754,7 +1524,7 @@ mod tests {
         let classified = ClassifiedStream::classify(&ops, &cfg);
         let r = simulate_classified(&classified, &cfg);
         assert!(t0.elapsed().as_secs_f64() < 1.0, "took {:?}", t0.elapsed());
-        assert_eq!(r, analytic_all_cold(&classified, &cfg).expect("uniform stream engages"));
+        assert!(analytic(&classified, &cfg), "uniform stream engages");
         assert_eq!(r.peak_queue_depth, 262_144, "the whole fleet still queues at once");
         // Each lane serializes its own 32,768 nodes' ops...
         assert!(r.time_to_launch_ns >= (262_144 / 8) * 500 * cfg.meta_service_ns);

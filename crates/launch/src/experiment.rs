@@ -40,7 +40,7 @@ use crate::matrix::{
 };
 use crate::profile::profile_load_checked;
 use crate::queueing::{mg1_bounds, validate_against_mg1, QueueingCheck};
-use crate::sweep::{render_fig6, replicate_seed, sweep_ranks_replicated, LaunchStats};
+use crate::sweep::{render_fig6, replicate_seed, LaunchStats};
 
 /// The RNG seed one scenario simulates under: a stable FNV-1a digest of the
 /// scenario label, taken through the [`SplitMix::WORKLOAD`] stream domain of
@@ -786,77 +786,16 @@ impl SweepReport {
     }
 }
 
-/// Execute **one** scenario at the given rank points against a shared
-/// profile cache — the single-cell entry point. [`ExperimentMatrix::run`]
-/// is exactly this, fanned over the full expansion, and the serve layer
-/// (`depchaos-serve`) calls it per store miss with whatever subset of rank
-/// points is cold; because every rank point is simulated independently
-/// (same per-point `LaunchConfig`, same seed derivation from the scenario
-/// label), a subset run is bit-identical to the matching slice of a full
-/// run — which is what makes per-(scenario, rank point) memoization sound.
-pub fn run_scenario(
-    s: &Scenario,
-    base: &LaunchConfig,
-    replicates: usize,
-    rank_points: &[usize],
-    cache: &ProfileCache,
-) -> ScenarioResult {
-    let cell = cache.get_or_profile(s.workload.as_ref(), &s.backend, s.storage);
-    let spec = s.spec();
-    let mut cfg = s.cache.apply(base.clone());
-    cfg.service_dist = s.dist;
-    cfg.fault = s.fault;
-    cfg.topology = s.topology;
-    // Each cell draws from its own decorrelated stream, derived
-    // from (experiment seed, cell label) — deterministic across
-    // runs and across rayon schedules.
-    cfg.seed = scenario_seed(base.seed, &spec.label());
-    match cell.outcome(s.wrap) {
-        Ok(p) => {
-            // One classification per (cell, wrap, calibration),
-            // shared across cache policies, rank points, and
-            // stochastic replicates.
-            let stream = cache.classified(&cell.key, s.wrap, &p.log, &cfg);
-            let rows = sweep_ranks_replicated(&stream, &cfg, rank_points, replicates);
-            let queueing = rows
-                .iter()
-                .map(|&(r, _, st)| {
-                    let b = mg1_bounds(&stream, &cfg.clone().with_ranks(r));
-                    (r, validate_against_mg1(&b, &st))
-                })
-                .collect();
-            ScenarioResult {
-                spec,
-                stat_openat: p.stat_openat,
-                misses: p.misses,
-                complete: p.complete,
-                unresolved: p.unresolved,
-                error: None,
-                series: rows.iter().map(|&(r, l, _)| (r, l)).collect(),
-                stats: rows.iter().map(|&(r, _, st)| (r, st)).collect(),
-                queueing,
-            }
-        }
-        Err(e) => ScenarioResult {
-            spec,
-            stat_openat: 0,
-            misses: 0,
-            complete: false,
-            unresolved: 0,
-            error: Some(e.clone()),
-            series: Vec::new(),
-            stats: Vec::new(),
-            queueing: Vec::new(),
-        },
-    }
-}
-
 impl ExperimentMatrix {
     /// Run the matrix against a shared profile cache: profile each unique
     /// cell once, then gather every scenario's (rank point × replicate)
-    /// grid into **one** columnar [`BatchPlan`] and simulate the whole
-    /// matrix in a single batched pass — bit-identical to running
-    /// [`run_scenario`] per scenario.
+    /// grid into **one** [`BatchPlan`] and simulate the whole
+    /// matrix in a single batched pass. Every rank point is simulated
+    /// independently (same per-point `LaunchConfig`, same seed derivation
+    /// from the scenario label), so a run over any subset of scenarios or
+    /// rank points is bit-identical to the matching slice of a full run —
+    /// which is what makes `depchaos-serve`'s per-(scenario, rank point)
+    /// memoization sound.
     pub fn run(&self, cache: &ProfileCache) -> SweepReport {
         let scenarios = self.expand();
         let rank_points = self.effective_rank_points();
@@ -983,8 +922,7 @@ impl ExperimentMatrix {
                 .collect()
         };
 
-        // Phase 4: summarise per scenario and rank point, replicating
-        // `run_scenario`'s assembly.
+        // Phase 4: summarise per scenario and rank point.
         let mut results: Vec<ScenarioResult> = Vec::with_capacity(preps.len());
         for (prep, points) in preps.iter().zip(&per_point) {
             results.push(match &prep.outcome {

@@ -34,7 +34,10 @@
 //!
 //! [`SplitMix::FAULT`]: depchaos_workloads::SplitMix::FAULT
 
+use depchaos_workloads::SplitMix;
 use serde::{Deserialize, Serialize};
+
+use crate::des::scale_service_ns;
 
 /// The fault-injection model one launch simulates under. See the module
 /// docs for semantics; parameters are integers (milli-units for rates and
@@ -170,6 +173,146 @@ impl FaultCounts {
         self.retries += 1;
         self.timeouts += 1;
         self.max_backoff_ns = self.max_backoff_ns.max(backoff_ns);
+    }
+}
+
+/// How a fault model enters the event heap (`des::heap_schedule`). The
+/// heap loop is generic over it, so the [`Healthy`] instantiation — every
+/// method the identity — compiles to the fault-free loop.
+pub(crate) trait FaultHook {
+    /// The service time `node` actually occupies the server for, given
+    /// its (possibly dist-scaled) draw.
+    fn service(&self, node: usize, svc_ns: u64) -> u64;
+    /// The instant service starts, given the earliest its lane allows.
+    fn start(&self, start_ns: u64) -> u64;
+    /// Called once the server finished `node`'s request that arrived at
+    /// `arrival_ns`: the re-issued request's arrival when the response was
+    /// lost, `None` when it got through.
+    fn lost(&mut self, node: usize, arrival_ns: u64) -> Option<u64>;
+}
+
+/// [`FaultModel::None`]: takes no draws and changes nothing.
+pub(crate) struct Healthy;
+
+impl FaultHook for Healthy {
+    #[inline(always)]
+    fn service(&self, _node: usize, svc_ns: u64) -> u64 {
+        svc_ns
+    }
+
+    #[inline(always)]
+    fn start(&self, start_ns: u64) -> u64 {
+        start_ns
+    }
+
+    #[inline(always)]
+    fn lost(&mut self, _node: usize, _arrival_ns: u64) -> Option<u64> {
+        None
+    }
+}
+
+/// Any other [`FaultModel`], executed event-accurately. The semantics,
+/// identical in the `des::reference` oracle:
+///
+/// * **ServerStall** — an op whose service would *start* inside
+///   `[at_ns, at_ns + duration_ns)` waits until the window closes, on
+///   every lane; in-flight service completes. Draw-free.
+/// * **RpcLoss** — after the server finishes an op (the work is done and
+///   the lane's busy clock stands), the response is lost with probability
+///   `loss_milli / 1000` unless this was the node's attempt `max_retries`
+///   (forced success, no draw taken). A lost op is re-issued at
+///   `t_send + timeout_ns + backoff_base_ns · 2^attempt` with the *same*
+///   drawn service time — the retry is the same request, so no new NODE
+///   draw — and the node's segment cursor does not advance.
+/// * **Stragglers** — before any event, cold node `i` draws membership
+///   (`below(1000) < frac_milli`); members scale every (possibly
+///   dist-scaled) service time by `slow_milli / 1000` through the same
+///   clamp as the distribution factor.
+///
+/// Draws come from `SplitMix::split(seed, FAULT, node)`, consumed in the
+/// node's own event order — a node has exactly one outstanding request, so
+/// its verdict sequence is heap-schedule-independent, which is what keeps
+/// the fast engine and the reference oracle bit-identical.
+pub(crate) struct FaultInjector {
+    model: FaultModel,
+    half_rtt: u64,
+    rngs: Vec<SplitMix>,
+    /// Straggler membership per cold node (empty unless `Stragglers`).
+    slow: Vec<bool>,
+    slow_factor: f64,
+    /// Retry attempt of each node's outstanding request (`RpcLoss` only).
+    attempts: Vec<u32>,
+    pub(crate) counts: FaultCounts,
+}
+
+impl FaultInjector {
+    pub(crate) fn new(model: FaultModel, seed: u64, cold_nodes: usize, half_rtt: u64) -> Self {
+        let mut rngs: Vec<SplitMix> = if model.takes_draws() {
+            (0..cold_nodes).map(|i| SplitMix::split(seed, SplitMix::FAULT, i as u64)).collect()
+        } else {
+            Vec::new()
+        };
+        // Straggler membership: one FAULT draw per cold node, in node
+        // order, before any event executes.
+        let (slow, slow_factor) = match model {
+            FaultModel::Stragglers { frac_milli, slow_milli } => (
+                rngs.iter_mut().map(|r| r.below(1000) < frac_milli as u64).collect::<Vec<bool>>(),
+                slow_milli as f64 / 1000.0,
+            ),
+            _ => (Vec::new(), 1.0),
+        };
+        let attempts = if matches!(model, FaultModel::RpcLoss { .. }) {
+            vec![0; cold_nodes]
+        } else {
+            Vec::new()
+        };
+        let counts =
+            FaultCounts { slowed_nodes: slow.iter().filter(|&&s| s).count(), ..Default::default() };
+        FaultInjector { model, half_rtt, rngs, slow, slow_factor, attempts, counts }
+    }
+}
+
+impl FaultHook for FaultInjector {
+    fn service(&self, node: usize, svc_ns: u64) -> u64 {
+        if self.slow.get(node).copied().unwrap_or(false) {
+            scale_service_ns(svc_ns, self.slow_factor)
+        } else {
+            svc_ns
+        }
+    }
+
+    fn start(&self, start_ns: u64) -> u64 {
+        if let FaultModel::ServerStall { at_ns, duration_ns } = self.model {
+            // A brownout stalls the whole fleet: every lane's start inside
+            // the window waits for it to close.
+            let end = at_ns.saturating_add(duration_ns);
+            if start_ns >= at_ns && start_ns < end {
+                return end;
+            }
+        }
+        start_ns
+    }
+
+    fn lost(&mut self, node: usize, arrival_ns: u64) -> Option<u64> {
+        let FaultModel::RpcLoss { loss_milli, timeout_ns, backoff_base_ns, max_retries } =
+            self.model
+        else {
+            return None;
+        };
+        let attempt = &mut self.attempts[node];
+        if *attempt < max_retries && self.rngs[node].below(1000) < loss_milli as u64 {
+            // Response lost: the server did the work but the client never
+            // hears back. It times out relative to its own send instant,
+            // sleeps its exponential backoff, and re-issues the request.
+            let t_send = arrival_ns - self.half_rtt;
+            let backoff = backoff_ns(backoff_base_ns, *attempt);
+            self.counts.note_retry(backoff);
+            *attempt += 1;
+            let resend = t_send.saturating_add(timeout_ns).saturating_add(backoff);
+            return Some(resend.saturating_add(self.half_rtt));
+        }
+        *attempt = 0;
+        None
     }
 }
 

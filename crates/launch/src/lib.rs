@@ -36,29 +36,27 @@
 //!    Simulation is two-phase:
 //!    [`ClassifiedStream::classify`] compacts the op stream into a
 //!    per-server-op schedule exactly once, and [`simulate_classified`]
-//!    replays it through the cheapest exact regime — the
-//!    [`analytic_all_cold`] closed form when the symmetric all-cold fleet
+//!    replays it through the batch engine's one-row path (layer 3): a
+//!    max-plus line-envelope recursion when the symmetric all-cold fleet
 //!    is round-major (`O(server_ops)`, node-count independent, exact peak
 //!    queue depth), the per-server-op event heap otherwise — coalescing
-//!    the symmetric warm/serverless nodes analytically in every regime.
+//!    the symmetric warm/serverless nodes analytically in every case.
 //!    That takes a 4M-rank point (broadcast *or* all-cold) to microseconds
 //!    while staying bit-identical to the retained [`des::reference`]
 //!    oracle (property-tested equivalence, deterministic *and*
 //!    stochastic).
-//! 3. [`batch`] is the columnar execution layer over the DES: a
-//!    [`BatchPlan`] gathers every pending (cell, rank point, replicate)
-//!    into structure-of-arrays columns — segment schedules columnarised
-//!    once per stream (`service_ns`, precomputed gaps, shared
-//!    aggregates), rows as parallel parameter columns (cold-node count,
-//!    seed, distribution, overheads) — and partitions rows into four
-//!    solver classes: **coalesced** (no server segments — pure
-//!    arithmetic), **analytic** (deterministic round-major fleets —
-//!    advanced in lockstep over the shared schedule, deduplicated to
-//!    unique (schedule, fleet) kernels), **stochastic** (per-seed heap
-//!    replay), and **heap** (lone-cold-node or guard-violating
-//!    fallback, including mid-batch envelope-cap demotions). Outputs
-//!    are bit-identical to per-row [`simulate_classified`]; every sweep
-//!    layer below runs on it.
+//! 3. [`batch`] is the execution engine over the DES: a [`BatchPlan`]
+//!    gathers every pending (cell, rank point, replicate) as compact rows
+//!    over shared segment schedules and partitions them into four solver
+//!    classes: **coalesced** (no server segments — pure arithmetic),
+//!    **analytic** (deterministic round-major fleets — advanced in
+//!    lockstep over the shared schedule, deduplicated to unique
+//!    (schedule, fleet) kernels), **stochastic** (per-seed heap replay),
+//!    and **heap** (lone-cold-node, guard-violating, or fault-injected
+//!    rows, plus mid-batch envelope-cap demotions). One regime selector,
+//!    one kernel solver, and one scatter serve both the plan and
+//!    [`simulate_classified`], its one-row entry point; every sweep layer
+//!    below runs on it.
 //! 4. [`sweep`] runs rank scalings for one figure series, all points
 //!    sharing one [`ClassifiedStream`] and executing as a single
 //!    [`BatchPlan`]. [`sweep_ranks_replicated`] adds the stochastic
@@ -151,13 +149,9 @@ pub use adaptive::{
 };
 pub use batch::{BatchPlan, SolverClass, StreamId};
 pub use config::{AssignPolicy, LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution};
-pub use des::{
-    analytic_all_cold, reference, simulate_classified, simulate_launch, ClassifiedStream,
-    ClassifyParams,
-};
+pub use des::{reference, simulate_classified, simulate_launch, ClassifiedStream, ClassifyParams};
 pub use experiment::{
-    run_scenario, scenario_seed, CellProfile, ProfileCache, ProfileOutcome, ScenarioResult,
-    SweepReport,
+    scenario_seed, CellProfile, ProfileCache, ProfileOutcome, ScenarioResult, SweepReport,
 };
 pub use fault::{FaultCounts, FaultModel};
 pub use matrix::{
@@ -171,5 +165,5 @@ pub use queueing::{
 };
 pub use sweep::{
     render_fig6, render_fig6_paired, render_tsv, replicate_seed, sweep_paired, sweep_ranks,
-    sweep_ranks_adaptive, sweep_ranks_classified, sweep_ranks_replicated, LaunchStats, PairedPoint,
+    sweep_ranks_adaptive, sweep_ranks_replicated, LaunchStats, PairedPoint,
 };

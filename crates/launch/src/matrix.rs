@@ -5,7 +5,7 @@
 //! model × server topology); an
 //! [`ExperimentMatrix`] holds the axis values and expands the full cross
 //! product. Execution lives in [`crate::experiment`], which gathers the
-//! expanded grid into one columnar [`crate::batch::BatchPlan`] pass —
+//! expanded grid into one [`crate::batch::BatchPlan`] pass —
 //! this module is purely the *description* of what to run, which is what
 //! makes "Fig 6, but for every backend", "Fig 6, but on local disk with
 //! a Spindle cache", or "Fig 6, but under a heavy-tailed metadata

@@ -81,7 +81,8 @@ pub fn replicate_seed(base_seed: u64, replicate: usize) -> u64 {
     }
 }
 
-/// [`sweep_ranks_classified`] over K seeded replicates per rank point:
+/// [`sweep_ranks`] over a pre-classified stream and K seeded replicates
+/// per rank point:
 /// returns, per point, replicate 0's full [`LaunchResult`] (the series the
 /// plain renderers draw) plus the [`LaunchStats`] over all replicates.
 /// `replicates` is clamped to 1 when the run takes no draws at all — a
@@ -247,27 +248,20 @@ pub fn render_fig6_paired(points: &[PairedPoint]) -> String {
 
 /// Simulate the same workload at several scales in one batched pass.
 ///
-/// The stream is classified **once**; every rank point replays the shared
-/// [`ClassifiedStream`]. Callers that already hold one (the experiment
-/// engine's memoized cells) should use [`sweep_ranks_classified`].
+/// The stream is classified **once**; every rank point is a row of one
+/// [`BatchPlan`] over the shared [`ClassifiedStream`], so rank points that
+/// share a node count (or collapse warm) share one kernel. Callers that
+/// already hold a classified stream (the experiment engine's memoized
+/// cells) use [`sweep_ranks_replicated`], which at one replicate is this
+/// sweep.
 pub fn sweep_ranks(
     ops: &StraceLog,
     base: &LaunchConfig,
     rank_points: &[usize],
 ) -> Vec<(usize, LaunchResult)> {
-    sweep_ranks_classified(&ClassifiedStream::classify(ops, base), base, rank_points)
-}
-
-/// [`sweep_ranks`] over a pre-classified stream: every point is a row of
-/// one [`BatchPlan`], so rank points that share a node count (or collapse
-/// warm) share one kernel — zero per-point classification or cloning.
-pub fn sweep_ranks_classified(
-    stream: &ClassifiedStream,
-    base: &LaunchConfig,
-    rank_points: &[usize],
-) -> Vec<(usize, LaunchResult)> {
+    let stream = ClassifiedStream::classify(ops, base);
     let mut plan = BatchPlan::new();
-    let id = plan.stream(stream);
+    let id = plan.stream(&stream);
     for &ranks in rank_points {
         plan.push(id, &base.clone().with_ranks(ranks));
     }

@@ -21,7 +21,7 @@
 //! spawns). Simulation then feeds every cold `(scenario, rank point)` —
 //! the **miss** work unit, finer than the old whole-scenario shards, so a
 //! skewed what-if batch costs exactly its missing points — into one
-//! columnar [`BatchPlan`] and executes the
+//! [`BatchPlan`] and executes the
 //! whole backlog in a single pass. Each scenario is classified once, and
 //! the `Arc<ClassifiedStream>` handed out by the shared
 //! [`ProfileCache`] is what every one of its miss rows borrows.
@@ -243,7 +243,7 @@ pub fn run_matrix_incremental(
         .collect();
 
     // Phase 2c: simulate the cold backlog. Under fixed K every miss is K
-    // replicate rows of one columnar plan, identical to the grid a full
+    // replicate rows of one plan, identical to the grid a full
     // run gathers. Under adaptive control each miss becomes one
     // [`AdaptiveUnit`] of the shared multi-round driver — the stopping
     // decision is a pure function of the unit alone, so a miss stops at

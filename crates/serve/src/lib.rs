@@ -57,7 +57,7 @@
 //! fans the unique cold cells' *profiling* over a worker pool (`jobs`
 //! threads pulling off a shared counter; `jobs <= 1` runs inline),
 //! classifies each cold scenario once (the shared `Arc` its misses
-//! borrow), feeds every cold `(scenario, rank point)` into one columnar
+//! borrow), feeds every cold `(scenario, rank point)` into one
 //! [`BatchPlan`](depchaos_launch::BatchPlan) executed in a single pass,
 //! persists each fresh record, and aggregates a
 //! [`SweepReport`](depchaos_launch::SweepReport) in matrix order whose
@@ -111,5 +111,7 @@ pub mod store;
 pub use codec::{CellOutcome, CellRecord, ProfileSummary};
 pub use exec::{default_jobs, run_matrix_incremental, ExecStats};
 pub use key::{CellIdentity, ScenarioKey, ENGINE_EPOCH};
-pub use requests::{serve_batch, BatchReport, QueryOutcome, WhatIfRequest};
+pub use requests::{
+    serve_batch, BatchReport, QueryOutcome, WhatIfRequest, MAX_RANKS, MAX_REPLICATES, MAX_SERVERS,
+};
 pub use store::{LoadStats, ResultStore};

@@ -28,6 +28,14 @@
 //! service time divided by N, coordination-free: an optimistic lower
 //! bound the modeled fleet can approach but, contended, never beat).
 //!
+//! Sizes are capped, because each one sets how much the simulation
+//! allocates and loops: `servers` at [`MAX_SERVERS`] (one busy clock per
+//! modeled server, and one Erlang-C term per server in the queueing
+//! check), every `ranks` entry at 1..=[`MAX_RANKS`] (per-node state in
+//! the event heap), and `replicates` at [`MAX_REPLICATES`] (one plan row
+//! per replicate). A request over a cap answers with an error line naming
+//! the field; the rest of its batch is served as usual.
+//!
 //! Each answer is one JSONL line per `(query, rank point)` carrying only
 //! simulator-deterministic integers (or the cell's error string), so a
 //! warm replay of the same batch must produce a **byte-identical** answer
@@ -48,6 +56,14 @@ use depchaos_workloads::{Axom, Emacs, Poison, Pynamic, PynamicRpath, Rocm, Workl
 use crate::codec::{esc, str_field, u64_field};
 use crate::exec::{run_matrix_incremental, ExecStats};
 use crate::store::ResultStore;
+
+/// Largest modeled metadata fleet a request may ask for.
+pub const MAX_SERVERS: u64 = 1024;
+/// Largest rank count of one rank point: 4Mi ranks, the scale the DES is
+/// tested at (262,144 nodes of 16 ranks).
+pub const MAX_RANKS: usize = 1 << 22;
+/// Largest replicate count per rank point.
+pub const MAX_REPLICATES: usize = 1000;
 
 /// One parsed what-if query: a named base scenario plus axis deltas.
 #[derive(Debug, Clone)]
@@ -168,10 +184,17 @@ impl WhatIfRequest {
         } else {
             vec![512, 1024, 2048]
         };
+        if ranks.iter().any(|r| !(1..=MAX_RANKS).contains(r)) {
+            return Err(format!("field \"ranks\" entries must be in 1..={MAX_RANKS}"));
+        }
         let servers = if has("servers") {
             match u64_field(line, "servers") {
-                Some(n) if n >= 1 => n,
-                _ => return Err("field \"servers\" must be an integer ≥ 1".to_string()),
+                Some(n) if (1..=MAX_SERVERS).contains(&n) => n,
+                _ => {
+                    return Err(format!(
+                        "field \"servers\" must be an integer in 1..={MAX_SERVERS}"
+                    ))
+                }
             }
         } else {
             1
@@ -189,7 +212,13 @@ impl WhatIfRequest {
             1
         };
         let replicates = if has("replicates") {
-            u64_field(line, "replicates").ok_or("malformed field \"replicates\"")? as usize
+            match u64_field(line, "replicates") {
+                Some(n) if n <= MAX_REPLICATES as u64 => n as usize,
+                Some(_) => {
+                    return Err(format!("field \"replicates\" must be at most {MAX_REPLICATES}"))
+                }
+                None => return Err("malformed field \"replicates\"".to_string()),
+            }
         } else {
             DEFAULT_REPLICATES
         };
@@ -590,6 +619,42 @@ mod tests {
         assert_eq!(report.queries[1].stats.panics, 1);
         assert!(report.stats_json(&store).contains("\"panics\":1"));
         assert_eq!(store.len(), 1, "the poisoned cell is never persisted");
+    }
+
+    #[test]
+    fn oversized_requests_are_refused_and_the_batch_still_answers() {
+        // Uncapped, the first line allocates a busy clock per server and
+        // loops once per server in the Erlang-C check — the batch would
+        // never reach the healthy query.
+        let batch = concat!(
+            r#"{"id":"servers","base":"pynamic-20","ranks":[256],"servers":1000000000000}"#,
+            "\n",
+            r#"{"id":"ranks","base":"pynamic-20","ranks":[256,1000000000000]}"#,
+            "\n",
+            r#"{"id":"replicates","base":"pynamic-20","ranks":[256],"replicates":1000000000000}"#,
+            "\n",
+            r#"{"id":"ok","base":"pynamic-20","ranks":[256]}"#,
+            "\n",
+        );
+        let store = ResultStore::in_memory();
+        let report = serve_batch(batch, &store, &ProfileCache::new(), 1).unwrap();
+        assert!(report.had_errors());
+        assert_eq!(report.queries.len(), 4);
+        for (q, field) in report.queries.iter().zip(["servers", "ranks", "replicates"]) {
+            let err = q.parse_error.as_deref().expect("oversized request refused");
+            assert!(err.contains(&format!("\"{field}\"")), "{} -> {err}", q.id);
+            assert!(q.answers[0].contains("\"error\""), "{}", q.answers[0]);
+        }
+        assert!(report.queries[3].parse_error.is_none());
+        assert!(report.queries[3].answers[0].contains("launch_ns"), "the healthy query answers");
+        assert_eq!(store.len(), 1, "only the healthy cell ran");
+
+        // Each cap itself is accepted.
+        let at_caps = format!(
+            r#"{{"id":"q","base":"pynamic-20","ranks":[{MAX_RANKS}],"servers":{MAX_SERVERS},"replicates":{MAX_REPLICATES}}}"#
+        );
+        let q = WhatIfRequest::parse(&at_caps).unwrap();
+        assert_eq!((q.ranks[0], q.servers, q.replicates), (MAX_RANKS, MAX_SERVERS, MAX_REPLICATES));
     }
 
     #[test]

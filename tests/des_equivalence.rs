@@ -162,7 +162,7 @@ proptest! {
         }
     }
 
-    /// A columnar [`BatchPlan`] mixing every distribution, fault model,
+    /// A [`BatchPlan`] mixing every distribution, fault model,
     /// wrap-like stream shape, and cache policy in one batch equals
     /// per-call `simulate_classified` — and the reference oracle — row for
     /// row. This is the gather/partition/dedup/scatter machinery under
@@ -211,8 +211,9 @@ proptest! {
 
     /// The batched `sweep_ranks_replicated` is byte-identical to the
     /// per-call loop it replaced: per rank point, replicate `r` simulates
-    /// under `replicate_seed(base, r)`, replicate 0 is the series value,
-    /// and the stats summarise the replicate sample.
+    /// under `replicate_seed(base, r)`, replicate 0 is the series value
+    /// (and equals the reference oracle), and the stats summarise the
+    /// replicate sample.
     #[test]
     fn batched_replicated_sweep_equals_per_call_loop(
         spec in prop::collection::vec((0u8..4, 0u64..1_000_000), 1..60),
@@ -247,6 +248,9 @@ proptest! {
                 let res = simulate_classified(&stream, &cfg);
                 if r == 0 {
                     prop_assert_eq!(&first, &res);
+                    // The batch and the per-call loop share one row path;
+                    // the reference oracle is the independent check.
+                    prop_assert_eq!(&first, &simulate_launch_reference(&ops, &cfg));
                 }
                 samples.push(res.time_to_launch_ns);
             }

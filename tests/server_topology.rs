@@ -8,7 +8,7 @@
 //!    cell. The refactor threaded `ServerTopology` through every regime;
 //!    this is the proof no single-server cell moved.
 //! 2. **The S-lane engines agree.** The coalescing heap, the reference
-//!    oracle, and the columnar [`BatchPlan`] must emit identical
+//!    oracle, and the [`BatchPlan`] must emit identical
 //!    [`LaunchResult`]s for S ∈ {2, 3, 8} fleets under both routing
 //!    policies, faults included.
 //! 3. **Hash routing is schedule-independent.** `HashByNode` assigns by
