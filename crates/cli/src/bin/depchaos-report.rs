@@ -23,9 +23,9 @@
 //! store (`depchaos-serve`'s content-addressed cache): cells already in
 //! the store are served warm, only misses simulate, fresh results are
 //! appended — rendered tables are bit-identical either way, and the
-//! warm/cold counters print to stderr. `--jobs N` fans cold-cell
-//! profiling over N worker threads (default 1; misses themselves simulate
-//! as one batched planner pass). `--jobs` rejects 0 and values above the
+//! warm/cold counters print to stderr. `--jobs N` profiles cold cells on
+//! N threads (default 1; simulation stays sequential, one batch plan per
+//! replicate round), with byte-identical output for every N. `--jobs` rejects 0 and values above the
 //! shared cap with the exit-2 usage error.
 //!
 //! `--adaptive TARGET` switches `fig6-dist` from fixed-K replication to

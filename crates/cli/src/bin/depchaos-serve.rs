@@ -15,7 +15,8 @@
 //! on first use), profiles only the cold cells over `--jobs` worker threads
 //! (default: the machine's parallelism; explicit values are validated —
 //! `0` or anything past the shared cap is the exit-2 usage error),
-//! batch-simulates the misses in one planner pass, and appends every
+//! simulates the misses sequentially (one batch plan per replicate
+//! round), and appends every
 //! fresh result
 //! to the store. Answers (simulator-deterministic JSONL, byte-identical
 //! across replays) go to `--out` or stdout; the batch/per-query

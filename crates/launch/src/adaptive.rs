@@ -1,8 +1,8 @@
 //! Adaptive replicate control: a sequential stopping rule for stochastic
 //! sweeps, bit-reproducibly.
 //!
-//! Fixed-K replication (the [`crate::sweep::sweep_ranks_replicated`]
-//! default) spends the same simulation budget on every stochastic cell no
+//! Fixed-K replication ([`AdaptiveControl::fixed`], the rule switched
+//! off) spends the same simulation budget on every stochastic cell no
 //! matter how concentrated its launch-time distribution is. The SGMM-style
 //! alternative implemented here drives the sample count by the estimator
 //! itself: run replicates in seeded batches, maintain the running mean and
@@ -27,8 +27,8 @@
 //! cell's own sample prefix ([`stop_k`]), so running cells one at a time,
 //! batched per sweep, or batched across a whole matrix
 //! ([`run_adaptive_units`]) lands on the same K — which is what lets the
-//! per-scenario path, [`crate::matrix::ExperimentMatrix`]`::run`, and the
-//! serve layer's incremental executor stay bit-identical to each other.
+//! serve layer simulate only a store's misses and still match a full
+//! [`crate::matrix::ExperimentMatrix`]`::run` byte for byte.
 //!
 //! Deterministic cells under a draw-free fault model keep their existing
 //! clamp-to-1: the rule never engages where there is no variance to chase.
@@ -81,6 +81,14 @@ impl AdaptiveControl {
     /// ([`crate::matrix::DEFAULT_REPLICATES`]).
     pub fn default_for(max_k: usize) -> AdaptiveControl {
         AdaptiveControl { target_rel_milli: 50, min_k: 4, max_k, batch: 4 }.normalized()
+    }
+
+    /// Fixed-K replication as the rule switched off: no precision target
+    /// and `min_k = max_k = batch = k`, so every draw-taking cell runs its
+    /// `k` replicates in one round — one [`BatchPlan`] — and draw-free
+    /// cells keep the clamp to one.
+    pub fn fixed(k: usize) -> AdaptiveControl {
+        AdaptiveControl { target_rel_milli: 0, min_k: k, max_k: k, batch: k }.normalized()
     }
 
     /// The same rule with every bound made self-consistent; all consumers
@@ -425,7 +433,7 @@ mod tests {
         };
         let stream = ClassifiedStream::classify(&cold_stream(120), &cfg);
         let max_k = 12;
-        let fixed = sweep_ranks_replicated(&stream, &cfg, &[1024], max_k);
+        let fixed = sweep_ranks_replicated(&stream, &cfg, &[1024], AdaptiveControl::fixed(max_k));
         assert_eq!(fixed[0].2.replicates, max_k);
 
         // A loose target stops early; the consumed sample must be a prefix

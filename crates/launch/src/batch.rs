@@ -299,11 +299,12 @@ fn solve_kernels(stream: &ClassifiedStream, jobs: &[Job], mut done: impl FnMut(u
 }
 
 /// A batch of pending simulations over shared segment schedules. See the
-/// module docs for the execution model; see
-/// [`crate::sweep::sweep_ranks_replicated`] and
-/// [`ExperimentMatrix::run`](crate::ExperimentMatrix::run) for the two
-/// in-crate callers, and `crates/serve`'s incremental executor for the
-/// third.
+/// module docs for the execution model. Its callers are the replicate
+/// driver [`run_adaptive_units`](crate::run_adaptive_units) — one plan per
+/// round, under every sweep, [`ExperimentMatrix::run`](crate::ExperimentMatrix::run)
+/// and `crates/serve`'s incremental executor — and
+/// [`sweep_paired`](crate::sweep_paired). A plan executes sequentially on
+/// the caller's thread.
 ///
 /// Row results come back from [`BatchPlan::execute`] in push order and
 /// are bit-identical to calling

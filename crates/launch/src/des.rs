@@ -57,8 +57,8 @@
 //! strictly in segment order, so:
 //!
 //! * every draw reproduces from `(seed, node, segment index)` alone —
-//!   independent of heap interleaving, replicate fan-out, or rayon
-//!   scheduling;
+//!   independent of heap interleaving, replicate fan-out, or how rows are
+//!   grouped into batch plans;
 //! * warm and serverless nodes take no draws and stay coalesced (they never
 //!   occupy the server, so they remain symmetric even under jitter);
 //! * the [`reference`](mod@reference) oracle draws the *same* per-(node, segment) factors,

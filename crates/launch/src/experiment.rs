@@ -1,7 +1,10 @@
-//! Executing an [`ExperimentMatrix`]: memoized profiling, parallel DES
-//! sweeps, and the [`SweepReport`] renderers.
+//! Executing an [`ExperimentMatrix`]: memoized profiling, the one
+//! cold-cell executor, and the [`SweepReport`] renderers.
 //!
-//! Execution is two-phase:
+//! [`ExperimentMatrix::run_cells`] is the executor both front ends call —
+//! [`ExperimentMatrix::run`] with every cell, `depchaos-serve` with the
+//! store's misses. Given `(scenario, rank point)` cells it runs three
+//! phases:
 //!
 //! 1. **Profile** — every unique [`CellKey`] (workload × backend × storage)
 //!    is realised exactly once: build a fresh [`Vfs`] on the cell's storage
@@ -9,9 +12,18 @@
 //!    through the cell's backend, capture the wrapped op stream. Both logs
 //!    land in a shared, memoized [`ProfileCache`], so scenarios differing
 //!    only in wrap state, cache policy, or rank points reuse one profile.
-//! 2. **Sweep** — every scenario replays its cell's op stream through the
-//!    DES at each rank point, fanned out over rayon (the simulations are
-//!    independent).
+//!    Profiling runs on `jobs` scoped threads pulling cells off one atomic
+//!    cursor (`jobs <= 1` runs inline), each cell behind its own
+//!    `catch_unwind`, so a panicking workload fails only its own cells.
+//! 2. **Classify** — every scenario derives its config once
+//!    ([`Scenario::launch_config`]) and classifies its stream through the
+//!    cache.
+//! 3. **Simulate** — every cell's replicates run through
+//!    [`run_adaptive_units`], sequentially, one [`BatchPlan`](crate::BatchPlan)
+//!    per round. Fixed-K replication is the stopping rule switched off
+//!    ([`AdaptiveControl::fixed`]): one round, one plan. Each cell is then
+//!    summarised into a [`CellAnswer`] and [`ScenarioResult::assemble`]
+//!    builds the report rows.
 //!
 //! A backend that cannot resolve the workload is data, not a crash: the
 //! cell records the unresolved count or wrap error and the report renders
@@ -19,10 +31,11 @@
 //! the §IV story).
 
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use depchaos_core::{wrap, ShrinkwrapOptions};
@@ -31,7 +44,6 @@ use depchaos_vfs::{StraceLog, Vfs};
 use depchaos_workloads::{SplitMix, Workload};
 
 use crate::adaptive::{run_adaptive_units, AdaptiveControl, AdaptiveUnit};
-use crate::batch::BatchPlan;
 use crate::config::{LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution};
 use crate::des::{ClassifiedStream, ClassifyParams};
 use crate::fault::FaultModel;
@@ -40,7 +52,7 @@ use crate::matrix::{
 };
 use crate::profile::profile_load_checked;
 use crate::queueing::{mg1_bounds, validate_against_mg1, QueueingCheck};
-use crate::sweep::{render_fig6, replicate_seed, LaunchStats};
+use crate::sweep::{render_fig6, LaunchStats};
 
 /// The RNG seed one scenario simulates under: a stable FNV-1a digest of the
 /// scenario label, taken through the [`SplitMix::WORKLOAD`] stream domain of
@@ -247,6 +259,65 @@ fn profile_cell(
     CellProfile { key, plain, wrapped }
 }
 
+/// The per-scenario profile summary every cell of that scenario carries
+/// (duplicating a few integers per rank point buys cell independence: any
+/// subset of a scenario's cells is enough to report that subset). All
+/// zeros for a cell without a usable op stream.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProfileSummary {
+    pub stat_openat: usize,
+    pub misses: usize,
+    pub complete: bool,
+    pub unresolved: usize,
+}
+
+impl From<&ProfileOutcome> for ProfileSummary {
+    fn from(p: &ProfileOutcome) -> ProfileSummary {
+        ProfileSummary {
+            stat_openat: p.stat_openat,
+            misses: p.misses,
+            complete: p.complete,
+            unresolved: p.unresolved,
+        }
+    }
+}
+
+/// The simulated payload of a cell that has one (profile errors don't):
+/// replicate 0's full result, the replicate statistics, and the M/G/k
+/// verdict on their mean.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellOutcome {
+    pub result: LaunchResult,
+    pub stats: LaunchStats,
+    pub queueing: QueueingCheck,
+}
+
+/// One `(scenario, rank point)` cell as [`ExperimentMatrix::run_cells`]
+/// answers it — the unit [`ScenarioResult::assemble`] builds report rows
+/// from, and what `depchaos-serve` persists per store record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellAnswer {
+    pub ranks: usize,
+    pub profile: ProfileSummary,
+    /// Why the cell has no outcome, when it doesn't.
+    pub error: Option<String>,
+    pub outcome: Option<CellOutcome>,
+    /// The error is a caught profiling panic: a crash is reported, but it
+    /// is not a reproducible result and must never be persisted.
+    pub panicked: bool,
+}
+
+/// What one [`ExperimentMatrix::run_cells`] call produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellRun {
+    /// One answer per requested cell, in request order.
+    pub answers: Vec<CellAnswer>,
+    /// Profiling runs this call performed (cache misses).
+    pub cells_profiled: usize,
+    /// Worker threads the profiling pool used.
+    pub workers: usize,
+}
+
 /// One scenario's sweep: its identity, a per-rank profile summary, the
 /// simulated series (empty when the cell has no usable op stream), and —
 /// per rank point — the replicate statistics.
@@ -272,6 +343,43 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
+    /// Build one scenario's result from its cells in rank-point order: the
+    /// profile summary of the first cell, the first error if any cell has
+    /// one (and then no series), otherwise every cell's outcome.
+    pub fn assemble<'a>(
+        spec: ScenarioSpec,
+        cells: impl IntoIterator<Item = &'a CellAnswer>,
+    ) -> ScenarioResult {
+        let mut cells = cells.into_iter().peekable();
+        let profile = cells.peek().map(|c| c.profile).unwrap_or_default();
+        let mut r = ScenarioResult {
+            spec,
+            stat_openat: profile.stat_openat,
+            misses: profile.misses,
+            complete: profile.complete,
+            unresolved: profile.unresolved,
+            error: None,
+            series: Vec::new(),
+            stats: Vec::new(),
+            queueing: Vec::new(),
+        };
+        for c in cells {
+            if let Some(e) = &c.error {
+                r.error.get_or_insert_with(|| e.clone());
+            } else if let Some(o) = &c.outcome {
+                r.series.push((c.ranks, o.result));
+                r.stats.push((c.ranks, o.stats));
+                r.queueing.push((c.ranks, o.queueing));
+            }
+        }
+        if r.error.is_some() {
+            r.series.clear();
+            r.stats.clear();
+            r.queueing.clear();
+        }
+        r
+    }
+
     /// The simulated launch at `ranks`, when swept.
     pub fn result_at(&self, ranks: usize) -> Option<&LaunchResult> {
         self.series.iter().find(|(r, _)| *r == ranks).map(|(_, l)| l)
@@ -787,10 +895,9 @@ impl SweepReport {
 }
 
 impl ExperimentMatrix {
-    /// Run the matrix against a shared profile cache: profile each unique
-    /// cell once, then gather every scenario's (rank point × replicate)
-    /// grid into **one** [`BatchPlan`] and simulate the whole
-    /// matrix in a single batched pass. Every rank point is simulated
+    /// Run the matrix against a shared profile cache: every
+    /// `(scenario, rank point)` cell through [`ExperimentMatrix::run_cells`]
+    /// with one profiling worker. Every rank point is simulated
     /// independently (same per-point `LaunchConfig`, same seed derivation
     /// from the scenario label), so a run over any subset of scenarios or
     /// rank points is bit-identical to the matching slice of a full run —
@@ -799,177 +906,168 @@ impl ExperimentMatrix {
     pub fn run(&self, cache: &ProfileCache) -> SweepReport {
         let scenarios = self.expand();
         let rank_points = self.effective_rank_points();
+        let cells: Vec<(usize, usize)> = (0..scenarios.len())
+            .flat_map(|i| rank_points.iter().map(move |&ranks| (i, ranks)))
+            .collect();
+        let run = self.run_cells(&scenarios, &cells, cache, 1);
+        let results = scenarios
+            .iter()
+            .zip(run.answers.chunks(rank_points.len()))
+            .map(|(s, answers)| ScenarioResult::assemble(s.spec(), answers))
+            .collect();
+        SweepReport {
+            rank_points,
+            results,
+            cells_profiled: run.cells_profiled,
+            adaptive: self.adaptive,
+        }
+    }
 
-        // Phase 1: realise every unique cell once. Deduplicate here rather
-        // than leaning on the cache's race guard so each cell is profiled
-        // by exactly one worker even under a parallel fill.
+    /// The cold-cell executor: answer each `(scenario index, rank point)`
+    /// of `cells` (indices into `scenarios`, this matrix's expansion).
+    /// Each unique profile cell is profiled once on up to `jobs` threads,
+    /// a panic failing only its own cells (`"panic in profiling: …"`).
+    /// Each scenario is configured and classified once. Every cell's
+    /// replicates then run through [`run_adaptive_units`] under this
+    /// matrix's stopping rule, or [`AdaptiveControl::fixed`] at its
+    /// replicate count — one sequential plan per round.
+    pub fn run_cells(
+        &self,
+        scenarios: &[Scenario],
+        cells: &[(usize, usize)],
+        cache: &ProfileCache,
+        jobs: usize,
+    ) -> CellRun {
+        // The unique profile cells the requested cells read, in first-use
+        // order, and each touched scenario's index into them.
+        let mut cell_of: Vec<Option<usize>> = vec![None; scenarios.len()];
         let mut unique: Vec<&Scenario> = Vec::new();
-        let mut seen: HashSet<CellKey> = HashSet::new();
-        for s in &scenarios {
-            if seen.insert(s.cell_key()) {
-                unique.push(s);
+        let mut index: HashMap<CellKey, usize> = HashMap::new();
+        for &(i, _) in cells {
+            if cell_of[i].is_none() {
+                let u = *index.entry(scenarios[i].cell_key()).or_insert(unique.len());
+                if u == unique.len() {
+                    unique.push(&scenarios[i]);
+                }
+                cell_of[i] = Some(u);
             }
         }
-        let cells_profiled = unique
-            .par_iter()
-            .map(|s| {
-                let (_, computed_here) =
-                    cache.get_or_profile_counted(s.workload.as_ref(), &s.backend, s.storage);
-                usize::from(computed_here)
-            })
-            .sum();
 
-        // Phase 2: per-scenario prep — profile lookup (warm after phase 1),
-        // per-cell config and seed derivation, shared classification. The
-        // Arcs are held here so the plan can borrow every stream at once.
-        struct Prep {
-            spec: ScenarioSpec,
-            cfg: LaunchConfig,
-            outcome: Result<(Arc<CellProfile>, Arc<ClassifiedStream>), String>,
-        }
-        let preps: Vec<Prep> = scenarios
+        let workers = jobs.max(1).min(unique.len().max(1));
+        let profiled = par_map(&unique, workers, |s| {
+            catch_unwind(AssertUnwindSafe(|| {
+                cache.get_or_profile_counted(s.workload.as_ref(), &s.backend, s.storage)
+            }))
+            .map_err(|e| format!("panic in profiling: {}", panic_msg(e)))
+        });
+        let cells_profiled = profiled.iter().filter(|p| matches!(p, Ok((_, true)))).count();
+
+        // Per touched scenario: its config, and its (profile summary,
+        // classified stream) or its error with whether it was a panic.
+        type Source = Result<(ProfileSummary, Arc<ClassifiedStream>), (String, bool)>;
+        let derived: Vec<Option<(LaunchConfig, Source)>> = scenarios
             .iter()
-            .map(|s| {
-                let cell = cache.get_or_profile(s.workload.as_ref(), &s.backend, s.storage);
-                let spec = s.spec();
-                let mut cfg = s.cache.apply(self.base.clone());
-                cfg.service_dist = s.dist;
-                cfg.fault = s.fault;
-                cfg.topology = s.topology;
-                // Each cell draws from its own decorrelated stream, derived
-                // from (experiment seed, cell label) — deterministic across
-                // runs and across execution orders.
-                cfg.seed = scenario_seed(self.base.seed, &spec.label());
-                let outcome = match cell.outcome(s.wrap) {
-                    Ok(p) => {
-                        let stream = cache.classified(&cell.key, s.wrap, &p.log, &cfg);
-                        Ok((Arc::clone(&cell), stream))
-                    }
-                    Err(e) => Err(e.clone()),
+            .zip(&cell_of)
+            .map(|(s, u)| {
+                let profile = &profiled[(*u)?];
+                let cfg = s.launch_config(&self.base);
+                let source = match profile {
+                    Err(msg) => Err((msg.clone(), true)),
+                    Ok((cell, _)) => match cell.outcome(s.wrap) {
+                        Ok(p) => Ok((p.into(), cache.classified(&cell.key, s.wrap, &p.log, &cfg))),
+                        Err(e) => Err((e.clone(), false)),
+                    },
                 };
-                Prep { spec, cfg, outcome }
+                Some((cfg, source))
             })
             .collect();
 
-        // Phase 3: simulate every pending (scenario, rank point,
-        // replicate). Fixed-K gathers the whole grid into one plan — the
-        // same row grid `sweep_ranks_replicated` would build per scenario.
-        // Under adaptive control the grid is built round by round instead:
-        // each round plans one replicate batch for every still-active cell
-        // (kernel dedup across cells preserved), tests each cell's
-        // stopping rule, and plans the next batch. Either way
-        // `per_point[i][pi]` holds scenario i's replicate-ordered results
-        // at rank point pi.
-        let per_point: Vec<Vec<Vec<LaunchResult>>> = if let Some(ctl) = self.adaptive {
-            let mut units: Vec<AdaptiveUnit<'_>> = Vec::new();
-            for prep in &preps {
-                if let Ok((_, stream)) = &prep.outcome {
-                    for &ranks in &rank_points {
-                        units
-                            .push(AdaptiveUnit { stream, cfg: prep.cfg.clone().with_ranks(ranks) });
-                    }
-                }
-            }
-            let mut outs = run_adaptive_units(&units, ctl).into_iter();
-            preps
-                .iter()
-                .map(|prep| match &prep.outcome {
-                    Ok(_) => rank_points.iter().map(|_| outs.next().unwrap()).collect(),
-                    Err(_) => Vec::new(),
-                })
-                .collect()
-        } else {
-            let mut plan = BatchPlan::new();
-            let mut row_counts: Vec<usize> = Vec::with_capacity(preps.len());
-            for prep in &preps {
-                let Ok((_, stream)) = &prep.outcome else {
-                    row_counts.push(0);
-                    continue;
-                };
-                let id = plan.stream(stream);
-                let k = if prep.cfg.service_dist.is_deterministic() && !prep.cfg.fault.takes_draws()
-                {
-                    1
-                } else {
-                    self.replicates.max(1)
-                };
-                for &ranks in &rank_points {
-                    for r in 0..k {
-                        let cfg = prep
-                            .cfg
-                            .clone()
-                            .with_ranks(ranks)
-                            .with_seed(replicate_seed(prep.cfg.seed, r));
-                        plan.push(id, &cfg);
-                    }
-                }
-                row_counts.push(rank_points.len() * k);
-            }
-            let rows = plan.execute();
-            let mut cursor = 0usize;
-            preps
-                .iter()
-                .zip(&row_counts)
-                .map(|(_, &n)| {
-                    let slice = &rows[cursor..cursor + n];
-                    cursor += n;
-                    if n == 0 {
-                        return Vec::new();
-                    }
-                    let k = n / rank_points.len();
-                    (0..rank_points.len()).map(|pi| slice[pi * k..(pi + 1) * k].to_vec()).collect()
-                })
-                .collect()
-        };
+        let units: Vec<AdaptiveUnit<'_>> = cells
+            .iter()
+            .filter_map(|&(i, ranks)| {
+                let (cfg, source) = derived[i].as_ref()?;
+                let (_, stream) = source.as_ref().ok()?;
+                Some(AdaptiveUnit { stream, cfg: cfg.clone().with_ranks(ranks) })
+            })
+            .collect();
+        let ctl = self.adaptive.unwrap_or(AdaptiveControl::fixed(self.replicates));
+        let mut simulated = units.iter().zip(run_adaptive_units(&units, ctl));
 
-        // Phase 4: summarise per scenario and rank point.
-        let mut results: Vec<ScenarioResult> = Vec::with_capacity(preps.len());
-        for (prep, points) in preps.iter().zip(&per_point) {
-            results.push(match &prep.outcome {
-                Ok((cell, stream)) => {
-                    let p = cell
-                        .outcome(prep.spec.wrap)
-                        .as_ref()
-                        .expect("prep outcome mirrors the cell outcome");
-                    let mut series = Vec::with_capacity(rank_points.len());
-                    let mut stats = Vec::with_capacity(rank_points.len());
-                    let mut queueing = Vec::with_capacity(rank_points.len());
-                    for (reps, &ranks) in points.iter().zip(&rank_points) {
-                        let mut samples: Vec<u64> =
-                            reps.iter().map(|l| l.time_to_launch_ns).collect();
-                        let st = LaunchStats::from_samples(&mut samples);
-                        let b = mg1_bounds(stream, &prep.cfg.clone().with_ranks(ranks));
-                        series.push((ranks, reps[0]));
-                        queueing.push((ranks, validate_against_mg1(&b, &st)));
-                        stats.push((ranks, st));
-                    }
-                    ScenarioResult {
-                        spec: prep.spec.clone(),
-                        stat_openat: p.stat_openat,
-                        misses: p.misses,
-                        complete: p.complete,
-                        unresolved: p.unresolved,
+        let answers = cells
+            .iter()
+            .map(|&(i, ranks)| match &derived[i].as_ref().expect("touched scenario").1 {
+                Ok((profile, _)) => {
+                    let (unit, reps) = simulated.next().expect("one unit per healthy cell");
+                    let stats = LaunchStats::from_results(&reps);
+                    let bounds = mg1_bounds(unit.stream, &unit.cfg);
+                    CellAnswer {
+                        ranks,
+                        profile: *profile,
                         error: None,
-                        series,
-                        stats,
-                        queueing,
+                        outcome: Some(CellOutcome {
+                            result: reps[0],
+                            stats,
+                            queueing: validate_against_mg1(&bounds, &stats),
+                        }),
+                        panicked: false,
                     }
                 }
-                Err(e) => ScenarioResult {
-                    spec: prep.spec.clone(),
-                    stat_openat: 0,
-                    misses: 0,
-                    complete: false,
-                    unresolved: 0,
+                Err((e, panicked)) => CellAnswer {
+                    ranks,
+                    profile: ProfileSummary::default(),
                     error: Some(e.clone()),
-                    series: Vec::new(),
-                    stats: Vec::new(),
-                    queueing: Vec::new(),
+                    outcome: None,
+                    panicked: *panicked,
                 },
-            });
-        }
+            })
+            .collect();
+        CellRun { answers, cells_profiled, workers }
+    }
+}
 
-        SweepReport { rank_points, results, cells_profiled, adaptive: self.adaptive }
+/// Map `f` over `items` on `workers` scoped threads that pull indices off
+/// one atomic cursor (dynamic load balancing: profiling costs vary by
+/// orders of magnitude across workloads); results come back in item
+/// order. `workers <= 1` runs inline on the caller's thread.
+fn par_map<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    // Relaxed suffices: the cursor only hands out indices, and results
+    // travel back through `join`, which synchronises.
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|sc| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                sc.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { return done };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, r) in h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)) {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter().map(|r| r.expect("every item claimed once")).collect()
+}
+
+/// Render a caught panic payload (the `&str`/`String` cases `panic!`
+/// produces; anything else is named as such).
+fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = e.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = e.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -1302,6 +1400,57 @@ mod tests {
         assert_eq!(tsv.lines().count(), 9);
     }
 
+    /// The from-scratch oracle for a matrix: per scenario and rank point,
+    /// a hand-derived config, a fresh classification, and `k` replicates
+    /// (one for draw-free cells) through `simulate_classified` — nothing
+    /// of the executor, the replicate driver or the batch plan.
+    fn per_replicate_oracle(m: &ExperimentMatrix, k: usize) -> Vec<ScenarioResult> {
+        use crate::des::simulate_classified;
+        use crate::sweep::replicate_seed;
+        let cache = ProfileCache::new();
+        let base = m.base();
+        m.expand()
+            .iter()
+            .map(|s| {
+                let cell = cache.get_or_profile(s.workload.as_ref(), &s.backend, s.storage);
+                let p = cell.outcome(s.wrap).as_ref().expect("healthy oracle cells");
+                let mut cfg = s.cache.apply(base.clone());
+                cfg.service_dist = s.dist;
+                cfg.fault = s.fault;
+                cfg.topology = s.topology;
+                cfg.seed = scenario_seed(base.seed, &s.spec().label());
+                let stream = ClassifiedStream::classify(&p.log, &cfg);
+                let k = if s.dist.is_deterministic() && !s.fault.takes_draws() { 1 } else { k };
+                let mut r = ScenarioResult {
+                    spec: s.spec(),
+                    stat_openat: p.stat_openat,
+                    misses: p.misses,
+                    complete: p.complete,
+                    unresolved: p.unresolved,
+                    error: None,
+                    series: Vec::new(),
+                    stats: Vec::new(),
+                    queueing: Vec::new(),
+                };
+                for ranks in m.effective_rank_points() {
+                    let at = cfg.clone().with_ranks(ranks);
+                    let reps: Vec<LaunchResult> = (0..k)
+                        .map(|rep| {
+                            let c = at.clone().with_seed(replicate_seed(cfg.seed, rep));
+                            simulate_classified(&stream, &c)
+                        })
+                        .collect();
+                    let mut samples: Vec<u64> = reps.iter().map(|l| l.time_to_launch_ns).collect();
+                    let st = LaunchStats::from_samples(&mut samples);
+                    r.series.push((ranks, reps[0]));
+                    r.stats.push((ranks, st));
+                    r.queueing.push((ranks, validate_against_mg1(&mg1_bounds(&stream, &at), &st)));
+                }
+                r
+            })
+            .collect()
+    }
+
     #[test]
     fn adaptive_matrix_with_disabled_target_is_the_fixed_matrix() {
         let cache = ProfileCache::new();
@@ -1318,12 +1467,38 @@ mod tests {
         let fixed = m().run(&cache);
         let ctl = AdaptiveControl { target_rel_milli: 0, min_k: 1, max_k: 5, batch: 2 };
         let adaptive = m().adaptive(ctl).run(&cache);
-        assert_eq!(adaptive.results, fixed.results, "disabled target ⇒ fixed-K run");
+        let oracle = per_replicate_oracle(&m(), 5);
+        assert_eq!(fixed.results, oracle, "fixed K = the per-replicate recomputation");
+        assert_eq!(adaptive.results, oracle, "disabled target ⇒ the fixed-K samples");
         assert_eq!(adaptive.adaptive, Some(ctl));
         assert_eq!(fixed.adaptive, None);
         // The stopping column tells the two reports apart.
         assert!(fixed.render_tsv().contains("\tfixed@5\n"));
         assert!(adaptive.render_tsv().contains("\tadaptive-0m@5\n"));
+    }
+
+    #[test]
+    fn a_panicking_workload_fails_only_its_own_cells() {
+        use depchaos_workloads::Poison;
+        // One poisoned workload next to a healthy one; both wrap states.
+        let report = ExperimentMatrix::new()
+            .workload(Poison)
+            .workload(Pynamic::new(10))
+            .rank_points([256usize])
+            .run(&ProfileCache::new());
+        let poisoned = report.find(|s| s.workload == "poison");
+        assert_eq!(poisoned.len(), 2);
+        for r in &poisoned {
+            let e = r.error.as_deref().unwrap();
+            assert!(e.contains("panic in profiling"), "{e}");
+            assert!(e.contains("deliberate install panic"), "{e}");
+            assert!(r.series.is_empty());
+        }
+        for r in report.find(|s| s.workload == "pynamic-10") {
+            assert!(r.error.is_none());
+            assert_eq!(r.series.len(), 1);
+        }
+        assert_eq!(report.cells_profiled, 1, "a panicked profile is never cached");
     }
 
     #[test]

@@ -57,18 +57,20 @@
 //!    one kernel solver, and one scatter serve both the plan and
 //!    [`simulate_classified`], its one-row entry point; every sweep layer
 //!    below runs on it.
-//! 4. [`sweep`] runs rank scalings for one figure series, all points
-//!    sharing one [`ClassifiedStream`] and executing as a single
-//!    [`BatchPlan`]. [`sweep_ranks_replicated`] adds the stochastic
-//!    dimension: K seeded replicates per rank point
-//!    ([`replicate_seed`]), summarised as [`LaunchStats`] p50/p95/p99 —
-//!    K collapses to 1 when the distribution is deterministic. [`adaptive`]
-//!    replaces the fixed K with a sequential stopping rule
-//!    ([`AdaptiveControl`]): replicates run in seeded batches and each
-//!    cell stops as soon as the t-based 95% half-width of its mean
-//!    launch time meets a relative target — bit-reproducibly, because
-//!    replicate `r`'s draws are a pure function of `(base seed, r)`
-//!    (the batch-prefix property; see `docs/determinism.md`).
+//! 4. [`adaptive`] is the one replicate driver, [`run_adaptive_units`]:
+//!    per round, every still-active cell adds its next batch of seeded
+//!    replicates ([`replicate_seed`]) to one sequential [`BatchPlan`], and
+//!    each cell stops as soon as the t-based 95% half-width of its mean
+//!    launch time meets a relative target ([`AdaptiveControl`]) —
+//!    bit-reproducibly, because replicate `r`'s draws are a pure function
+//!    of `(base seed, r)` (the batch-prefix property; see
+//!    `docs/determinism.md`). Fixed K is the rule switched off
+//!    ([`AdaptiveControl::fixed`]): one round, one plan; K collapses to 1
+//!    when a cell takes no draws. [`sweep`] runs rank scalings for one
+//!    figure series over one shared [`ClassifiedStream`]:
+//!    [`sweep_ranks_replicated`] is a thin wrapper over the driver,
+//!    summarising each point as [`LaunchStats`] p50/p95/p99, and
+//!    [`sweep_ranks`] is that at one replicate.
 //!    [`sweep_paired`] is the common-random-numbers companion: both arms
 //!    of a comparison run under shared replicate seeds and
 //!    [`PairedDiff`] reports the CRN-tightened interval on their
@@ -88,13 +90,17 @@
 //!    launch time — [`validate_against_mg1`] flags any cell whose
 //!    replicate mean escapes the envelope, so a modelling bug shared by
 //!    the DES and its oracle would still be caught by theory.
-//! 7. [`experiment`] executes a matrix: each unique (workload, backend,
-//!    storage) cell is profiled **exactly once** into a shared, memoized
-//!    [`ProfileCache`] (plain and wrapped streams captured in one run) and
+//! 7. [`experiment`] executes a matrix through one cold-cell executor,
+//!    [`ExperimentMatrix::run_cells`], which `depchaos-serve` calls on its
+//!    store misses too: each unique (workload, backend, storage) cell is
+//!    profiled **exactly once** into a shared, memoized [`ProfileCache`]
+//!    (plain and wrapped streams captured in one run; profiling runs on
+//!    `jobs` threads, each cell isolated by `catch_unwind`) and
 //!    classified once per (cell, wrap state, latency calibration) — shared
 //!    across cache policies, rank points, *and* stochastic replicates —
-//!    then the whole matrix is simulated as **one** [`BatchPlan`] pass and
-//!    everything lands in a serde-serializable [`SweepReport`] with
+//!    then every cell's replicates run through the driver, sequentially,
+//!    one [`BatchPlan`] per round (fixed K: one plan for the whole matrix),
+//!    and everything lands in a serde-serializable [`SweepReport`] with
 //!    per-backend Fig 6, per-distribution band, queueing-check, and TSV
 //!    renderers. Every stochastic cell draws from
 //!    [`scenario_seed`]`(base seed, cell label)`, so any single cell
@@ -151,7 +157,8 @@ pub use batch::{BatchPlan, SolverClass, StreamId};
 pub use config::{AssignPolicy, LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution};
 pub use des::{reference, simulate_classified, simulate_launch, ClassifiedStream, ClassifyParams};
 pub use experiment::{
-    scenario_seed, CellProfile, ProfileCache, ProfileOutcome, ScenarioResult, SweepReport,
+    scenario_seed, CellAnswer, CellOutcome, CellProfile, CellRun, ProfileCache, ProfileOutcome,
+    ProfileSummary, ScenarioResult, SweepReport,
 };
 pub use fault::{FaultCounts, FaultModel};
 pub use matrix::{
@@ -165,5 +172,5 @@ pub use queueing::{
 };
 pub use sweep::{
     render_fig6, render_fig6_paired, render_tsv, replicate_seed, sweep_paired, sweep_ranks,
-    sweep_ranks_adaptive, sweep_ranks_replicated, LaunchStats, PairedPoint,
+    sweep_ranks_replicated, LaunchStats, PairedPoint,
 };

@@ -4,8 +4,8 @@
 //! model × wrap state × cache policy × service distribution × fault
 //! model × server topology); an
 //! [`ExperimentMatrix`] holds the axis values and expands the full cross
-//! product. Execution lives in [`crate::experiment`], which gathers the
-//! expanded grid into one [`crate::batch::BatchPlan`] pass —
+//! product. Execution lives in [`crate::experiment`], which simulates the
+//! expanded grid as one [`crate::batch::BatchPlan`] per replicate round —
 //! this module is purely the *description* of what to run, which is what
 //! makes "Fig 6, but for every backend", "Fig 6, but on local disk with
 //! a Spindle cache", or "Fig 6, but under a heavy-tailed metadata
@@ -22,6 +22,7 @@ use depchaos_workloads::{InstalledWorkload, Workload};
 
 use crate::adaptive::AdaptiveControl;
 use crate::config::{LaunchConfig, ServerTopology, ServiceDistribution};
+use crate::experiment::scenario_seed;
 use crate::fault::FaultModel;
 
 /// The wrap-state axis: is the binary launched as built, or after
@@ -190,6 +191,20 @@ impl Scenario {
         }
     }
 
+    /// The launch configuration this scenario simulates under: `base`
+    /// with the cache policy applied, the scenario's distribution, fault
+    /// model and topology, and its own decorrelated seed
+    /// [`scenario_seed`]`(base.seed, label)` — deterministic across runs
+    /// and execution orders.
+    pub fn launch_config(&self, base: &LaunchConfig) -> LaunchConfig {
+        let mut cfg = self.cache.apply(base.clone());
+        cfg.service_dist = self.dist;
+        cfg.fault = self.fault;
+        cfg.topology = self.topology;
+        cfg.seed = scenario_seed(base.seed, &self.spec().label());
+        cfg
+    }
+
     /// Serializable identity (names only) for reports.
     pub fn spec(&self) -> ScenarioSpec {
         ScenarioSpec {
@@ -275,8 +290,8 @@ pub const DEFAULT_REPLICATES: usize = 11;
 
 /// The experiment matrix: axis values plus the sweep parameters shared by
 /// every scenario. `expand()` is the cross product; `run()` (in
-/// [`crate::experiment`]) profiles each unique cell once and fans the DES
-/// sweeps out in parallel.
+/// [`crate::experiment`]) profiles each unique cell once and simulates
+/// every cell sequentially, one batch plan per replicate round.
 #[derive(Clone)]
 pub struct ExperimentMatrix {
     pub(crate) workloads: Vec<Arc<dyn Workload>>,

@@ -1,11 +1,12 @@
 //! Capturing one rank's startup op stream.
 //!
-//! This is the expensive, per-unique-cell step of a sweep: the matrix
-//! engine and the serve layer profile each cell once (fanning the work
-//! over their worker pools), cache the classified stream, and batch the
-//! actual simulations in one [`crate::batch::BatchPlan`] pass — so a
-//! profile captured here is reused across every rank point, replicate,
-//! and repeat what-if that shares the cell.
+//! This is the expensive, per-unique-cell step of a sweep: the one
+//! cold-cell executor ([`crate::ExperimentMatrix::run_cells`], behind both
+//! the matrix engine and the serve layer) profiles each cell once on its
+//! `jobs` threads, caches the classified stream, and batches the actual
+//! simulations sequentially, one [`crate::batch::BatchPlan`] per replicate
+//! round — so a profile captured here is reused across every rank point,
+//! replicate, and repeat what-if that shares the cell.
 
 use depchaos_loader::{Environment, GlibcLoader, LoadError, LoadResult, Loader};
 use depchaos_vfs::{StraceLog, Vfs};

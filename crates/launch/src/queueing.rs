@@ -379,6 +379,7 @@ pub fn validate_against_mg1(bounds: &Mg1Bounds, stats: &LaunchStats) -> Queueing
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptiveControl;
     use crate::des::simulate_classified;
     use crate::sweep::sweep_ranks_replicated;
     use depchaos_vfs::{Op, Outcome, StraceLog, Syscall};
@@ -468,7 +469,12 @@ mod tests {
             for seed in [7u64, 42, 0xD15_7A5ED] {
                 let cfg = LaunchConfig { seed, ..fast_cfg() }.with_service_dist(dist);
                 let stream = ClassifiedStream::classify(&cold_stream(200), &cfg);
-                let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 2048, 8192], 7);
+                let rows = sweep_ranks_replicated(
+                    &stream,
+                    &cfg,
+                    &[512, 2048, 8192],
+                    AdaptiveControl::fixed(7),
+                );
                 for (ranks, _, stats) in rows {
                     let b = mg1_bounds(&stream, &cfg.clone().with_ranks(ranks));
                     let check = validate_against_mg1(&b, &stats);
@@ -593,7 +599,8 @@ mod tests {
             for dist in ServiceDistribution::all() {
                 let cfg = fast_cfg().with_service_dist(dist).with_fault(fault);
                 let stream = ClassifiedStream::classify(&cold_stream(200), &cfg);
-                let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 2048], 7);
+                let rows =
+                    sweep_ranks_replicated(&stream, &cfg, &[512, 2048], AdaptiveControl::fixed(7));
                 for (ranks, _, stats) in rows {
                     let b = mg1_bounds(&stream, &cfg.clone().with_ranks(ranks));
                     let check = validate_against_mg1(&b, &stats);
@@ -717,7 +724,8 @@ mod tests {
             for dist in ServiceDistribution::all() {
                 let cfg = fast_cfg().with_service_dist(dist).with_topology(topo);
                 let stream = ClassifiedStream::classify(&cold_stream(200), &cfg);
-                let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 8192], 7);
+                let rows =
+                    sweep_ranks_replicated(&stream, &cfg, &[512, 8192], AdaptiveControl::fixed(7));
                 for (ranks, _, stats) in rows {
                     let b = mg1_bounds(&stream, &cfg.clone().with_ranks(ranks));
                     let check = validate_against_mg1(&b, &stats);

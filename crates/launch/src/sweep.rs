@@ -1,13 +1,15 @@
 //! Rank sweeps for the Fig 6 series.
 //!
 //! [`sweep_ranks`] is the one-series drive; [`sweep_ranks_replicated`] is
-//! the stochastic-aware version: each rank point is simulated over K seeded
+//! the stochastic-aware version: each rank point is simulated over seeded
 //! replicates (replicate `r` re-seeds the config from
 //! [`SplitMix::split`]`(base.seed, SplitMix::REPLICATE, r)`, replicate 0
-//! *being* the base seed) and summarised as [`LaunchStats`] —
-//! p50/p95/p99/mean of the launch time. Under a deterministic service
-//! distribution every replicate would be identical, so K collapses to 1
-//! and the stats degenerate to the single exact value.
+//! *being* the base seed) under an [`AdaptiveControl`] plan — fixed K or a
+//! stopping rule — and summarised as [`LaunchStats`] — p50/p95/p99/mean of
+//! the launch time. Under a deterministic service distribution every
+//! replicate would be identical, so K collapses to 1 and the stats
+//! degenerate to the single exact value. Both are thin wrappers over the
+//! one replicate driver, [`run_adaptive_units`].
 
 use std::collections::HashMap;
 
@@ -53,6 +55,13 @@ impl LaunchStats {
         }
     }
 
+    /// Summarise replicate-ordered launch results (at least one).
+    pub fn from_results(results: &[LaunchResult]) -> LaunchStats {
+        LaunchStats::from_samples(
+            &mut results.iter().map(|l| l.time_to_launch_ns).collect::<Vec<_>>(),
+        )
+    }
+
     pub fn p50_s(&self) -> f64 {
         self.p50_ns as f64 / 1e9
     }
@@ -81,61 +90,20 @@ pub fn replicate_seed(base_seed: u64, replicate: usize) -> u64 {
     }
 }
 
-/// [`sweep_ranks`] over a pre-classified stream and K seeded replicates
-/// per rank point:
-/// returns, per point, replicate 0's full [`LaunchResult`] (the series the
-/// plain renderers draw) plus the [`LaunchStats`] over all replicates.
-/// `replicates` is clamped to 1 when the run takes no draws at all — a
-/// deterministic distribution under a draw-free fault model — since extra
-/// replicates could only repeat the same value.
+/// Sweep a pre-classified stream under a replicate-control plan: per rank
+/// point, replicate 0's full [`LaunchResult`] (the series the plain
+/// renderers draw) plus the [`LaunchStats`] over the replicates run.
+/// `ctl` is [`AdaptiveControl::fixed`]`(k)` for K seeded replicates, or a
+/// live stopping rule, whose [`LaunchStats::replicates`] then records the
+/// K each point stopped at. A run that takes no draws at all — a
+/// deterministic distribution under a draw-free fault model — clamps to
+/// one replicate, since more could only repeat the same value.
 ///
-/// The whole (rank point × replicate) grid executes as one [`BatchPlan`]:
-/// deterministic points collapse to shared analytic kernels, stochastic
-/// replicates batch into one heap pass per seed.
+/// A thin wrapper over [`run_adaptive_units`], one unit per rank point:
+/// replicate `r` runs under [`replicate_seed`]`(base.seed, r)` whether it
+/// is reached adaptively or under fixed K, so an adaptive sample is
+/// exactly a prefix of the fixed-`max_k` one.
 pub fn sweep_ranks_replicated(
-    stream: &ClassifiedStream,
-    base: &LaunchConfig,
-    rank_points: &[usize],
-    replicates: usize,
-) -> Vec<(usize, LaunchResult, LaunchStats)> {
-    let k = if stream.params().dist.is_deterministic() && !base.fault.takes_draws() {
-        1
-    } else {
-        replicates.max(1)
-    };
-    let mut plan = BatchPlan::new();
-    let id = plan.stream(stream);
-    for &ranks in rank_points {
-        for r in 0..k {
-            plan.push(id, &base.clone().with_ranks(ranks).with_seed(replicate_seed(base.seed, r)));
-        }
-    }
-    let results = plan.execute();
-    rank_points
-        .iter()
-        .enumerate()
-        .map(|(pi, &ranks)| {
-            let rows = &results[pi * k..(pi + 1) * k];
-            let mut samples: Vec<u64> = rows.iter().map(|l| l.time_to_launch_ns).collect();
-            let stats = LaunchStats::from_samples(&mut samples);
-            (ranks, rows[0], stats)
-        })
-        .collect()
-}
-
-/// [`sweep_ranks_replicated`] under adaptive replicate control: each rank
-/// point runs replicates in seeded batches and stops as soon as the
-/// sequential rule ([`AdaptiveControl`]) is satisfied, instead of always
-/// spending `max_k`. The returned [`LaunchStats::replicates`] records the
-/// K each point stopped at.
-///
-/// Bit-reproducibility: replicate `r`'s draws are identical whether `r` is
-/// reached adaptively or under fixed K ([`replicate_seed`] is a pure
-/// function of `(base seed, r)`), so the adaptive sample is exactly a
-/// prefix of the fixed-`max_k` sample — and with the precision rule
-/// disabled (`target_rel_milli == 0`) this function is byte-identical to
-/// `sweep_ranks_replicated(stream, base, rank_points, max_k)`.
-pub fn sweep_ranks_adaptive(
     stream: &ClassifiedStream,
     base: &LaunchConfig,
     rank_points: &[usize],
@@ -145,15 +113,10 @@ pub fn sweep_ranks_adaptive(
         .iter()
         .map(|&ranks| AdaptiveUnit { stream, cfg: base.clone().with_ranks(ranks) })
         .collect();
-    let per_point = run_adaptive_units(&units, ctl);
     rank_points
         .iter()
-        .zip(per_point)
-        .map(|(&ranks, rows)| {
-            let mut samples: Vec<u64> = rows.iter().map(|l| l.time_to_launch_ns).collect();
-            let stats = LaunchStats::from_samples(&mut samples);
-            (ranks, rows[0], stats)
-        })
+        .zip(run_adaptive_units(&units, ctl))
+        .map(|(&ranks, reps)| (ranks, reps[0], LaunchStats::from_results(&reps)))
         .collect()
 }
 
@@ -250,22 +213,18 @@ pub fn render_fig6_paired(points: &[PairedPoint]) -> String {
 ///
 /// The stream is classified **once**; every rank point is a row of one
 /// [`BatchPlan`] over the shared [`ClassifiedStream`], so rank points that
-/// share a node count (or collapse warm) share one kernel. Callers that
-/// already hold a classified stream (the experiment engine's memoized
-/// cells) use [`sweep_ranks_replicated`], which at one replicate is this
-/// sweep.
+/// share a node count (or collapse warm) share one kernel. This is
+/// [`sweep_ranks_replicated`] at [`AdaptiveControl::fixed`]`(1)`.
 pub fn sweep_ranks(
     ops: &StraceLog,
     base: &LaunchConfig,
     rank_points: &[usize],
 ) -> Vec<(usize, LaunchResult)> {
     let stream = ClassifiedStream::classify(ops, base);
-    let mut plan = BatchPlan::new();
-    let id = plan.stream(&stream);
-    for &ranks in rank_points {
-        plan.push(id, &base.clone().with_ranks(ranks));
-    }
-    rank_points.iter().copied().zip(plan.execute()).collect()
+    sweep_ranks_replicated(&stream, base, rank_points, AdaptiveControl::fixed(1))
+        .into_iter()
+        .map(|(ranks, first, _)| (ranks, first))
+        .collect()
 }
 
 /// Render the Fig 6 series as an aligned table: one row per scale, normal
@@ -366,7 +325,7 @@ mod tests {
     fn deterministic_sweep_collapses_to_one_replicate() {
         let cfg = LaunchConfig::default();
         let stream = ClassifiedStream::classify(&cold_stream(50), &cfg);
-        let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 1024], 32);
+        let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 1024], AdaptiveControl::fixed(32));
         for (ranks, first, stats) in rows {
             assert_eq!(stats.replicates, 1, "no point replicating an exact model");
             assert_eq!(stats.p50_ns, first.time_to_launch_ns);
@@ -389,7 +348,7 @@ mod tests {
             ..Default::default()
         };
         let stream = ClassifiedStream::classify(&cold_stream(200), &cfg);
-        let rows = sweep_ranks_replicated(&stream, &cfg, &[2048], 25);
+        let rows = sweep_ranks_replicated(&stream, &cfg, &[2048], AdaptiveControl::fixed(25));
         let (_, first, stats) = &rows[0];
         assert_eq!(stats.replicates, 25);
         assert!(stats.p50_ns <= stats.p95_ns && stats.p95_ns <= stats.p99_ns);
@@ -399,7 +358,10 @@ mod tests {
             simulate_classified(&stream, &c).time_to_launch_ns
         });
         // Byte-identical on re-run: the replicate seeds are pure data.
-        assert_eq!(rows, sweep_ranks_replicated(&stream, &cfg, &[2048], 25));
+        assert_eq!(
+            rows,
+            sweep_ranks_replicated(&stream, &cfg, &[2048], AdaptiveControl::fixed(25))
+        );
     }
 
     #[test]
@@ -436,7 +398,6 @@ mod tests {
 
     #[test]
     fn adaptive_sweep_with_disabled_target_is_the_fixed_sweep() {
-        use crate::adaptive::AdaptiveControl;
         use crate::config::ServiceDistribution;
         let cfg = LaunchConfig {
             service_dist: ServiceDistribution::uniform_jitter(0.25),
@@ -444,14 +405,38 @@ mod tests {
             ..LaunchConfig::default()
         };
         let stream = ClassifiedStream::classify(&cold_stream(150), &cfg);
-        let fixed = sweep_ranks_replicated(&stream, &cfg, &[512, 2048], 9);
         let ctl = AdaptiveControl { target_rel_milli: 0, min_k: 1, max_k: 9, batch: 4 };
-        assert_eq!(sweep_ranks_adaptive(&stream, &cfg, &[512, 2048], ctl), fixed);
+        let got = sweep_ranks_replicated(&stream, &cfg, &[512, 2048], ctl);
+        // The oracle: the whole (rank point × replicate) grid hand-built as
+        // one plan, independent of the round driver.
+        let mut plan = BatchPlan::new();
+        let id = plan.stream(&stream);
+        for ranks in [512, 2048] {
+            for r in 0..9 {
+                plan.push(
+                    id,
+                    &cfg.clone().with_ranks(ranks).with_seed(replicate_seed(cfg.seed, r)),
+                );
+            }
+        }
+        let grid = plan.execute();
+        let want: Vec<_> = [512, 2048]
+            .into_iter()
+            .zip(grid.chunks(9))
+            .map(|(ranks, reps)| {
+                let mut samples: Vec<u64> = reps.iter().map(|l| l.time_to_launch_ns).collect();
+                (ranks, reps[0], LaunchStats::from_samples(&mut samples))
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            sweep_ranks_replicated(&stream, &cfg, &[512, 2048], AdaptiveControl::fixed(9)),
+            want
+        );
     }
 
     #[test]
     fn adaptive_sweep_stops_early_and_reports_the_k_used() {
-        use crate::adaptive::AdaptiveControl;
         use crate::config::ServiceDistribution;
         let cfg = LaunchConfig {
             service_dist: ServiceDistribution::log_normal(0.5),
@@ -460,16 +445,16 @@ mod tests {
         };
         let stream = ClassifiedStream::classify(&cold_stream(150), &cfg);
         let ctl = AdaptiveControl { target_rel_milli: 500, min_k: 2, max_k: 25, batch: 2 };
-        let rows = sweep_ranks_adaptive(&stream, &cfg, &[2048], ctl);
+        let rows = sweep_ranks_replicated(&stream, &cfg, &[2048], ctl);
         let (_, first, stats) = &rows[0];
         assert!(stats.replicates < 25, "a 50% target stops well short of the budget");
         assert!(stats.replicates >= 2);
         // Replicate 0 is still the series entry, identical to the fixed
         // sweep's.
-        let fixed = sweep_ranks_replicated(&stream, &cfg, &[2048], 25);
+        let fixed = sweep_ranks_replicated(&stream, &cfg, &[2048], AdaptiveControl::fixed(25));
         assert_eq!(*first, fixed[0].1);
         // Re-run: pure data.
-        assert_eq!(rows, sweep_ranks_adaptive(&stream, &cfg, &[2048], ctl));
+        assert_eq!(rows, sweep_ranks_replicated(&stream, &cfg, &[2048], ctl));
     }
 
     #[test]

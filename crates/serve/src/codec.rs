@@ -20,28 +20,10 @@
 //! result — the scenario-level profile summary plus, when the cell
 //! simulated, the launch result, replicate statistics, and queueing check.
 
-use depchaos_launch::{LaunchResult, LaunchStats, Mg1Bounds, QueueingCheck};
+use depchaos_launch::{CellAnswer, LaunchResult, LaunchStats, Mg1Bounds, QueueingCheck};
+pub use depchaos_launch::{CellOutcome, ProfileSummary};
 
 use crate::key::ScenarioKey;
-
-/// The per-scenario profile summary every record of that scenario carries
-/// (duplicating a few integers per rank point buys record independence:
-/// any subset of a scenario's records is enough to serve that subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfileSummary {
-    pub stat_openat: usize,
-    pub misses: usize,
-    pub complete: bool,
-    pub unresolved: usize,
-}
-
-/// The simulated payload of a cell that has one (profile errors don't).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellOutcome {
-    pub result: LaunchResult,
-    pub stats: LaunchStats,
-    pub queueing: QueueingCheck,
-}
 
 /// One stored `(scenario, rank point)` result.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +40,20 @@ pub struct CellRecord {
     /// stored so warm replays answer error cells without re-profiling).
     pub error: Option<String>,
     pub outcome: Option<CellOutcome>,
+}
+
+impl From<CellRecord> for CellAnswer {
+    /// A stored cell answers exactly as it did when it was simulated
+    /// (panicked cells are never stored).
+    fn from(r: CellRecord) -> CellAnswer {
+        CellAnswer {
+            ranks: r.ranks,
+            profile: r.profile,
+            error: r.error,
+            outcome: r.outcome,
+            panicked: false,
+        }
+    }
 }
 
 /// Escape a string for a JSON string literal.

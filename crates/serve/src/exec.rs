@@ -15,29 +15,21 @@
 //! * floats round-trip the disk by bit pattern, so a record read back
 //!   compares `==` to the record that was written.
 //!
-//! The cold side runs in two stages. Profiling — the expensive part — is
-//! fanned over a pool of worker threads pulling unique cold *cells* off a
-//! shared counter (`jobs <= 1` runs inline on the caller's thread with no
-//! spawns). Simulation then feeds every cold `(scenario, rank point)` —
-//! the **miss** work unit, finer than the old whole-scenario shards, so a
-//! skewed what-if batch costs exactly its missing points — into one
-//! [`BatchPlan`] and executes the
-//! whole backlog in a single pass. Each scenario is classified once, and
-//! the `Arc<ClassifiedStream>` handed out by the shared
-//! [`ProfileCache`] is what every one of its miss rows borrows.
+//! The cold side is the launch crate's one cold-cell executor,
+//! [`ExperimentMatrix::run_cells`] — the same code
+//! [`ExperimentMatrix::run`] runs — called on the misses: profiling on
+//! `jobs` threads pulling unique cold *cells* off an atomic cursor
+//! (`jobs <= 1` runs inline), then every cold `(scenario, rank point)` —
+//! the **miss** work unit, so a skewed what-if batch costs exactly its
+//! missing points — simulated sequentially, one batch plan per replicate
+//! round. What stays here is serve-specific: keys, the warm/cold split,
+//! persisting fresh records, and [`ExecStats`].
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use depchaos_launch::{
-    mg1_bounds, replicate_seed, run_adaptive_units, scenario_seed, validate_against_mg1,
-    AdaptiveUnit, BatchPlan, CellProfile, ClassifiedStream, ExperimentMatrix, LaunchConfig,
-    LaunchStats, ProfileCache, Scenario, ScenarioResult, ScenarioSpec, SweepReport,
-};
+use depchaos_launch::{CellAnswer, ExperimentMatrix, ProfileCache, ScenarioResult, SweepReport};
 
-use crate::codec::{CellOutcome, CellRecord, ProfileSummary};
+use crate::codec::CellRecord;
 use crate::key::{CellIdentity, ScenarioKey, ENGINE_EPOCH};
 use crate::store::ResultStore;
 
@@ -54,8 +46,9 @@ pub struct ExecStats {
     pub warm_hits: usize,
     /// Cells simulated by this run.
     pub cold_cells: usize,
-    /// Rank-point work units fed to the batch planner (== `cold_cells`;
-    /// kept separate because it counts planner inputs, not store deltas).
+    /// Rank-point work units fed to the cold-cell executor (==
+    /// `cold_cells`; kept separate because it counts executor inputs, not
+    /// store deltas).
     pub shards: usize,
     /// Worker threads the profiling pool used.
     pub jobs: usize,
@@ -83,45 +76,12 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// One cold `(scenario, rank point)` cell: the work unit the batch
-/// planner consumes.
-struct Miss {
-    scenario: usize,
-    ranks: usize,
-    key: ScenarioKey,
-}
-
-/// Per-scenario cold-side prep, shared by every miss of the scenario:
-/// the derived config and either the (profile, classification) pair —
-/// the classification an `Arc` straight out of the [`ProfileCache`] — or
-/// the profiling error.
-struct Prep {
-    spec: ScenarioSpec,
-    cfg: LaunchConfig,
-    outcome: Result<(Arc<CellProfile>, Arc<ClassifiedStream>), String>,
-    /// The error in `outcome` is a caught profiling panic. Panicked cells
-    /// are reported but never persisted — a crash is not a result.
-    panicked: bool,
-}
-
-/// Render a caught panic payload (the `&str`/`String` cases `panic!`
-/// produces; anything else is named as such).
-fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Run `matrix` against `store`: serve warm cells, profile cold cells on
-/// `jobs` workers, simulate every miss in one batched pass, persist every
-/// fresh record, and aggregate the report in matrix order. The report's
-/// `results` are bit-identical to `matrix.run(profiles)` regardless of
-/// how the warm/cold line falls (`cells_profiled` necessarily differs —
-/// a warm run profiles nothing).
+/// Run `matrix` against `store`: serve warm cells, answer the misses with
+/// the launch crate's cold-cell executor (profiling on `jobs` workers),
+/// persist every fresh record, and aggregate the report in matrix order.
+/// The report's `results` are bit-identical to `matrix.run(profiles)`
+/// regardless of how the warm/cold line falls (`cells_profiled`
+/// necessarily differs — a warm run profiles nothing).
 pub fn run_matrix_incremental(
     matrix: &ExperimentMatrix,
     store: &ResultStore,
@@ -129,267 +89,80 @@ pub fn run_matrix_incremental(
     jobs: usize,
 ) -> std::io::Result<(SweepReport, ExecStats)> {
     let scenarios = matrix.expand();
+    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
     let rank_points = matrix.effective_rank_points();
-    let replicates = matrix.replicate_count();
-    let base = matrix.base();
-    let profiled_before = profiles.computed();
 
-    // Phase 1: address every cell and split warm from cold. Misses are
-    // collected per rank point — the planner's row granularity.
-    let mut warm: HashMap<ScenarioKey, CellRecord> = HashMap::new();
-    let mut misses: Vec<Miss> = Vec::new();
-    let mut keys: Vec<Vec<(usize, ScenarioKey)>> = Vec::with_capacity(scenarios.len());
-    for (i, s) in scenarios.iter().enumerate() {
-        let spec = s.spec();
+    // Address every cell and split warm from cold. Misses are collected
+    // per rank point — the executor's cell granularity.
+    let mut answers: HashMap<ScenarioKey, CellAnswer> = HashMap::new();
+    let mut misses: Vec<(usize, usize)> = Vec::new();
+    let mut miss_keys: Vec<ScenarioKey> = Vec::new();
+    let mut keys: Vec<Vec<ScenarioKey>> = Vec::with_capacity(scenarios.len());
+    for (i, spec) in specs.iter().enumerate() {
         let mut cell_keys = Vec::with_capacity(rank_points.len());
         for &ranks in &rank_points {
             let key = CellIdentity {
-                spec: &spec,
+                spec,
                 ranks,
-                replicates,
+                replicates: matrix.replicate_count(),
                 adaptive: matrix.adaptive_control(),
-                base,
+                base: matrix.base(),
             }
             .key();
-            cell_keys.push((ranks, key));
+            cell_keys.push(key);
             match store.get(key) {
                 Some(rec) => {
-                    warm.insert(key, rec);
+                    answers.insert(key, rec.into());
                 }
-                None => misses.push(Miss { scenario: i, ranks, key }),
+                None => {
+                    misses.push((i, ranks));
+                    miss_keys.push(key);
+                }
             }
         }
         keys.push(cell_keys);
     }
     let cells_total = scenarios.len() * rank_points.len();
-    let warm_hits = warm.len();
-    let cold_cells = cells_total - warm_hits;
+    let warm_hits = answers.len();
 
-    // Phase 2a: profile every unique cold cell. Workers pull cells off a
-    // shared counter — dynamic load balancing, since profiling costs vary
-    // by orders of magnitude across workloads.
-    let mut cold_scenarios: Vec<usize> = Vec::new();
-    for m in &misses {
-        if cold_scenarios.last() != Some(&m.scenario) {
-            cold_scenarios.push(m.scenario);
-        }
-    }
-    let mut cold_cell_scenarios: Vec<&Scenario> = Vec::new();
-    let mut seen_cells = std::collections::HashSet::new();
-    for &i in &cold_scenarios {
-        if seen_cells.insert(scenarios[i].cell_key()) {
-            cold_cell_scenarios.push(&scenarios[i]);
-        }
-    }
-    let workers = jobs.max(1).min(cold_cell_scenarios.len().max(1));
-    // Each profiling run is isolated behind its own `catch_unwind`: a
-    // workload that panics mid-install poisons only its own cell (the
-    // cache entry is simply never filled — `parking_lot` mutexes don't
-    // poison), and every other cell of the batch completes. Workers
-    // discard the verdict; phase 2b re-calls and keeps it.
-    let profile_cell = |s: &Scenario| {
-        catch_unwind(AssertUnwindSafe(|| {
-            profiles.get_or_profile(s.workload.as_ref(), &s.backend, s.storage)
-        }))
-    };
-    if workers <= 1 {
-        for s in &cold_cell_scenarios {
-            let _ = profile_cell(s);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|sc| {
-            for _ in 0..workers {
-                sc.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(s) = cold_cell_scenarios.get(i) else { break };
-                    let _ = profile_cell(s);
-                });
-            }
-        });
-    }
-
-    // Phase 2b: derive each cold scenario's config (seeded from its
-    // label, exactly as a full run does) and classify it once — the
-    // shared `Arc<ClassifiedStream>` every one of its misses borrows.
-    let preps: HashMap<usize, Prep> = cold_scenarios
-        .iter()
-        .map(|&i| {
-            let s = &scenarios[i];
-            let spec = s.spec();
-            let mut cfg = s.cache.apply(base.clone());
-            cfg.service_dist = s.dist;
-            cfg.fault = s.fault;
-            cfg.topology = s.topology;
-            cfg.seed = scenario_seed(base.seed, &spec.label());
-            // Phase 2a warmed the cache, so this re-call is a lookup —
-            // unless the cell's profiling panicked, in which case it
-            // panics again here, caught again, and becomes the outcome.
-            let (outcome, panicked) = match profile_cell(s) {
-                Ok(cell) => (
-                    match cell.outcome(s.wrap) {
-                        Ok(p) => {
-                            let stream = profiles.classified(&cell.key, s.wrap, &p.log, &cfg);
-                            Ok((Arc::clone(&cell), stream))
-                        }
-                        Err(e) => Err(e.clone()),
-                    },
-                    false,
-                ),
-                Err(e) => (Err(format!("panic in profiling: {}", panic_msg(e))), true),
-            };
-            (i, Prep { spec, cfg, outcome, panicked })
-        })
-        .collect();
-
-    // Phase 2c: simulate the cold backlog. Under fixed K every miss is K
-    // replicate rows of one plan, identical to the grid a full
-    // run gathers. Under adaptive control each miss becomes one
-    // [`AdaptiveUnit`] of the shared multi-round driver — the stopping
-    // decision is a pure function of the unit alone, so a miss stops at
-    // the same K it would in a cold full run no matter how the warm/cold
-    // line falls (and the per-round plans still deduplicate kernels
-    // across the backlog).
-    let miss_reps: Vec<Vec<depchaos_launch::LaunchResult>> = match matrix.adaptive_control() {
-        Some(ctl) => {
-            let mut units: Vec<AdaptiveUnit<'_>> = Vec::new();
-            let mut unit_of: Vec<Option<usize>> = Vec::with_capacity(misses.len());
-            for m in &misses {
-                let prep = &preps[&m.scenario];
-                match &prep.outcome {
-                    Ok((_, stream)) => {
-                        unit_of.push(Some(units.len()));
-                        units.push(AdaptiveUnit {
-                            stream,
-                            cfg: prep.cfg.clone().with_ranks(m.ranks),
-                        });
-                    }
-                    Err(_) => unit_of.push(None),
-                }
-            }
-            let mut per_unit = run_adaptive_units(&units, ctl);
-            unit_of
-                .iter()
-                .map(|u| u.map(|i| std::mem::take(&mut per_unit[i])).unwrap_or_default())
-                .collect()
-        }
-        None => {
-            let mut plan = BatchPlan::new();
-            let mut miss_rows: Vec<usize> = Vec::with_capacity(misses.len());
-            for m in &misses {
-                let prep = &preps[&m.scenario];
-                let Ok((_, stream)) = &prep.outcome else {
-                    miss_rows.push(0);
-                    continue;
-                };
-                let id = plan.stream(stream);
-                let k = if prep.cfg.service_dist.is_deterministic() && !prep.cfg.fault.takes_draws()
-                {
-                    1
-                } else {
-                    replicates.max(1)
-                };
-                for r in 0..k {
-                    let cfg = prep
-                        .cfg
-                        .clone()
-                        .with_ranks(m.ranks)
-                        .with_seed(replicate_seed(prep.cfg.seed, r));
-                    plan.push(id, &cfg);
-                }
-                miss_rows.push(k);
-            }
-            let rows = plan.execute();
-            let mut cursor = 0usize;
-            miss_rows
-                .iter()
-                .map(|&n| {
-                    let reps = rows[cursor..cursor + n].to_vec();
-                    cursor += n;
-                    reps
-                })
-                .collect()
-        }
-    };
-
-    // Phase 3: scatter the replicate vectors into per-rank-point records,
-    // persist them, and fold them into the warm map. Panicked cells are
-    // folded into the report but NOT persisted: a crash is transient
+    // Simulate the misses, persist them, and fold them into the answers.
+    // Panicked cells are reported but NOT persisted: a crash is transient
     // evidence of a bug, not a reproducible result the store should keep
     // serving.
+    let run = matrix.run_cells(&scenarios, &misses, profiles, jobs);
     let mut panics = 0usize;
-    for (m, reps) in misses.iter().zip(&miss_reps) {
-        let prep = &preps[&m.scenario];
-        let rec = match &prep.outcome {
-            Ok((cell, stream)) => {
-                let p = cell
-                    .outcome(prep.spec.wrap)
-                    .as_ref()
-                    .expect("prep outcome mirrors the cell outcome");
-                let mut samples: Vec<u64> = reps.iter().map(|l| l.time_to_launch_ns).collect();
-                let stats = LaunchStats::from_samples(&mut samples);
-                let b = mg1_bounds(stream, &prep.cfg.clone().with_ranks(m.ranks));
-                CellRecord {
-                    key: m.key,
-                    epoch: ENGINE_EPOCH,
-                    label: prep.spec.label(),
-                    ranks: m.ranks,
-                    profile: ProfileSummary {
-                        stat_openat: p.stat_openat,
-                        misses: p.misses,
-                        complete: p.complete,
-                        unresolved: p.unresolved,
-                    },
-                    error: None,
-                    outcome: Some(CellOutcome {
-                        result: reps[0],
-                        stats,
-                        queueing: validate_against_mg1(&b, &stats),
-                    }),
-                }
-            }
-            Err(e) => CellRecord {
-                key: m.key,
-                epoch: ENGINE_EPOCH,
-                label: prep.spec.label(),
-                ranks: m.ranks,
-                profile: ProfileSummary {
-                    stat_openat: 0,
-                    misses: 0,
-                    complete: false,
-                    unresolved: 0,
-                },
-                error: Some(e.clone()),
-                outcome: None,
-            },
-        };
-        if prep.panicked {
+    for ((&(i, _), key), answer) in misses.iter().zip(miss_keys).zip(run.answers) {
+        if answer.panicked {
             panics += 1;
         } else {
-            store.put(rec.clone())?;
+            store.put(CellRecord {
+                key,
+                epoch: ENGINE_EPOCH,
+                label: specs[i].label(),
+                ranks: answer.ranks,
+                profile: answer.profile,
+                error: answer.error.clone(),
+                outcome: answer.outcome,
+            })?;
         }
-        warm.insert(rec.key, rec);
+        answers.insert(key, answer);
     }
 
-    // Phase 4: aggregate in matrix order — the exact shape `run()` builds.
-    let results: Vec<ScenarioResult> = scenarios
-        .iter()
+    let results: Vec<ScenarioResult> = specs
+        .into_iter()
         .zip(&keys)
-        .map(|(s, cell_keys)| {
-            let recs: Vec<&CellRecord> =
-                cell_keys.iter().filter_map(|(_, k)| warm.get(k)).collect();
-            assemble(s, &recs)
+        .map(|(spec, cell_keys)| {
+            ScenarioResult::assemble(spec, cell_keys.iter().map(|k| &answers[k]))
         })
         .collect();
-
     let stats = ExecStats {
         scenarios: scenarios.len(),
         cells_total,
         warm_hits,
-        cold_cells,
+        cold_cells: cells_total - warm_hits,
         shards: misses.len(),
-        jobs: workers,
-        cells_profiled: profiles.computed() - profiled_before,
+        jobs: run.workers,
+        cells_profiled: run.cells_profiled,
         panics,
     };
     let report = SweepReport {
@@ -399,43 +172,6 @@ pub fn run_matrix_incremental(
         adaptive: matrix.adaptive_control(),
     };
     Ok((report, stats))
-}
-
-/// Rebuild one [`ScenarioResult`] from its per-rank-point records (in rank
-/// point order). The spec comes from the in-hand scenario — records only
-/// carry the label — so aggregation never parses names.
-fn assemble(s: &Scenario, recs: &[&CellRecord]) -> ScenarioResult {
-    let spec = s.spec();
-    let profile = recs.first().map(|r| r.profile).unwrap_or(ProfileSummary {
-        stat_openat: 0,
-        misses: 0,
-        complete: false,
-        unresolved: 0,
-    });
-    let error = recs.iter().find_map(|r| r.error.clone());
-    let mut series = Vec::new();
-    let mut stats = Vec::new();
-    let mut queueing = Vec::new();
-    if error.is_none() {
-        for rec in recs {
-            if let Some(o) = &rec.outcome {
-                series.push((rec.ranks, o.result));
-                stats.push((rec.ranks, o.stats));
-                queueing.push((rec.ranks, o.queueing));
-            }
-        }
-    }
-    ScenarioResult {
-        spec,
-        stat_openat: profile.stat_openat,
-        misses: profile.misses,
-        complete: profile.complete,
-        unresolved: profile.unresolved,
-        error,
-        series,
-        stats,
-        queueing,
-    }
 }
 
 #[cfg(test)]
@@ -460,15 +196,70 @@ mod tests {
             .rank_points([256usize, 512])
     }
 
+    /// The from-scratch oracle for a healthy matrix: per scenario and rank
+    /// point, a hand-derived config, a fresh classification, and the
+    /// replicates one by one through `simulate_classified` — none of the
+    /// executor, the replicate driver or the batch plan.
+    fn per_replicate_oracle(m: &ExperimentMatrix) -> Vec<ScenarioResult> {
+        use depchaos_launch::{
+            mg1_bounds, replicate_seed, scenario_seed, simulate_classified, validate_against_mg1,
+            ClassifiedStream, LaunchResult, LaunchStats,
+        };
+        let cache = ProfileCache::new();
+        let base = m.base();
+        m.expand()
+            .iter()
+            .map(|s| {
+                let cell = cache.get_or_profile(s.workload.as_ref(), &s.backend, s.storage);
+                let p = cell.outcome(s.wrap).as_ref().expect("healthy oracle cells");
+                let mut cfg = s.cache.apply(base.clone());
+                cfg.service_dist = s.dist;
+                cfg.fault = s.fault;
+                cfg.topology = s.topology;
+                cfg.seed = scenario_seed(base.seed, &s.spec().label());
+                let stream = ClassifiedStream::classify(&p.log, &cfg);
+                let draws = !s.dist.is_deterministic() || s.fault.takes_draws();
+                let k = if draws { m.replicate_count() } else { 1 };
+                let mut r = ScenarioResult {
+                    spec: s.spec(),
+                    stat_openat: p.stat_openat,
+                    misses: p.misses,
+                    complete: p.complete,
+                    unresolved: p.unresolved,
+                    error: None,
+                    series: Vec::new(),
+                    stats: Vec::new(),
+                    queueing: Vec::new(),
+                };
+                for ranks in m.effective_rank_points() {
+                    let at = cfg.clone().with_ranks(ranks);
+                    let reps: Vec<LaunchResult> = (0..k)
+                        .map(|rep| {
+                            let c = at.clone().with_seed(replicate_seed(cfg.seed, rep));
+                            simulate_classified(&stream, &c)
+                        })
+                        .collect();
+                    let mut samples: Vec<u64> = reps.iter().map(|l| l.time_to_launch_ns).collect();
+                    let st = LaunchStats::from_samples(&mut samples);
+                    r.series.push((ranks, reps[0]));
+                    r.stats.push((ranks, st));
+                    r.queueing.push((ranks, validate_against_mg1(&mg1_bounds(&stream, &at), &st)));
+                }
+                r
+            })
+            .collect()
+    }
+
     #[test]
     fn cold_run_matches_direct_run_and_warm_replay_simulates_nothing() {
-        let direct = matrix().run(&ProfileCache::new());
+        let direct = per_replicate_oracle(&matrix());
+        assert_eq!(matrix().run(&ProfileCache::new()).results, direct);
 
         let store = ResultStore::in_memory();
         let (cold, cs) =
             run_matrix_incremental(&matrix(), &store, &ProfileCache::new(), 2).unwrap();
-        assert_eq!(cold.results, direct.results);
-        assert_eq!(cold.rank_points, direct.rank_points);
+        assert_eq!(cold.results, direct);
+        assert_eq!(cold.rank_points, matrix().effective_rank_points());
         assert_eq!(cs.cold_cells, cs.cells_total);
         assert_eq!(cs.warm_hits, 0);
         assert_eq!(cs.cells_total, 8 * 2);
@@ -478,7 +269,7 @@ mod tests {
         // re-simulates — every answer comes off the store.
         let warm_profiles = ProfileCache::new();
         let (warm, ws) = run_matrix_incremental(&matrix(), &store, &warm_profiles, 2).unwrap();
-        assert_eq!(warm.results, direct.results);
+        assert_eq!(warm.results, direct);
         assert_eq!(ws.cold_cells, 0);
         assert_eq!(ws.warm_hits, ws.cells_total);
         assert_eq!(ws.shards, 0);

@@ -32,11 +32,11 @@
 //!    function of those parameters and so would be redundant — while a
 //!    **fixed**-K cell (or any cell whose distribution is deterministic
 //!    *and* whose fault model takes no draws, which clamps to one
-//!    replicate exactly as [`depchaos_launch::sweep_ranks_replicated`]
-//!    does) hashes the effective replicate count, so asking for 5 or 50
-//!    replicates of an exact cell is one key and an adaptive request on
-//!    an exact cell is the *same* key as the fixed request it degenerates
-//!    to;
+//!    replicate exactly as [`depchaos_launch::run_adaptive_units`], the
+//!    one replicate driver, does) hashes the effective replicate count,
+//!    so asking for 5 or 50 replicates of an exact cell is one key and an
+//!    adaptive request on an exact cell is the *same* key as the fixed
+//!    request it degenerates to;
 //! 6. the seed domain (the experiment's base seed — per-cell seeds derive
 //!    from it and the label, which items 2–4 already pin) and every
 //!    calibration field of the base [`LaunchConfig`].

@@ -53,13 +53,16 @@
 //!
 //! ## Incremental execution ([`exec`])
 //!
-//! [`run_matrix_incremental`] expands a matrix, looks every cell up,
-//! fans the unique cold cells' *profiling* over a worker pool (`jobs`
-//! threads pulling off a shared counter; `jobs <= 1` runs inline),
-//! classifies each cold scenario once (the shared `Arc` its misses
-//! borrow), feeds every cold `(scenario, rank point)` into one
-//! [`BatchPlan`](depchaos_launch::BatchPlan) executed in a single pass,
-//! persists each fresh record, and aggregates a
+//! [`run_matrix_incremental`] expands a matrix, looks every cell up, and
+//! hands the misses to the launch crate's one cold-cell executor,
+//! [`ExperimentMatrix::run_cells`](depchaos_launch::ExperimentMatrix::run_cells)
+//! — the same code a direct `matrix.run()` runs. It profiles the unique
+//! cold cells on `jobs` threads (an atomic cursor; `jobs <= 1` runs
+//! inline), classifies each cold scenario once, and simulates every cold
+//! `(scenario, rank point)` sequentially, one
+//! [`BatchPlan`](depchaos_launch::BatchPlan) per replicate round (one plan
+//! in all under fixed K). This crate then persists each fresh record and
+//! aggregates a
 //! [`SweepReport`](depchaos_launch::SweepReport) in matrix order whose
 //! `results` are **bit-identical** to a cold `matrix.run()` — floats
 //! round-trip the disk by IEEE bit pattern, and subset runs are

@@ -358,8 +358,9 @@ impl BatchReport {
 }
 
 /// Serve one batch of JSONL requests against a store. Queries run in batch
-/// order (each one fans its cold-cell profiling over `jobs` workers and
-/// batch-simulates its misses in one planner pass); a request
+/// order (each one profiles its cold cells on `jobs` threads and
+/// simulates its misses sequentially, one batch plan per replicate
+/// round); a request
 /// that fails to parse becomes an error answer and marks the batch (exit
 /// code 1 at the CLI), without stopping later queries. I/O errors from the
 /// store are real errors.

@@ -8,9 +8,10 @@
 //!
 //! 1. **Degenerate rule ≡ fixed K, byte for byte.** With the precision
 //!    target disabled (`target_rel_milli == 0`) the adaptive sweep runs
-//!    every unit to `max_k` — and the result must equal
-//!    [`sweep_ranks_replicated`] at K = `max_k` exactly: same samples,
-//!    same stats, same replicate-0 series entry.
+//!    every unit to `max_k` — and the result must equal the fixed
+//!    `max_k` grid hand-built as one [`BatchPlan`] (one replicate for a
+//!    draw-free cell): same samples, same stats, same replicate-0 series
+//!    entry. [`AdaptiveControl::fixed`] is the same grid.
 //! 2. **Batch-prefix property.** Whatever K the live rule stops at, the
 //!    adaptive sample is a *prefix* of the fixed-`max_k` sample vector:
 //!    replicate `r`'s draws are a pure function of `(base seed, r)`
@@ -19,8 +20,8 @@
 //!    through why this is the whole bit-reproducibility argument.
 
 use depchaos::launch::{
-    replicate_seed, stop_k, sweep_ranks_adaptive, sweep_ranks_replicated, AdaptiveControl,
-    BatchPlan, ClassifiedStream, FaultModel, LaunchConfig, ServiceDistribution,
+    replicate_seed, stop_k, sweep_ranks_replicated, AdaptiveControl, BatchPlan, ClassifiedStream,
+    FaultModel, LaunchConfig, LaunchStats, ServiceDistribution,
 };
 use depchaos::vfs::{Op, Outcome, StraceLog, Syscall};
 use proptest::prelude::*;
@@ -84,9 +85,31 @@ proptest! {
         let stream = ClassifiedStream::classify(&stream_of(&spec), &cfg);
         let pts = [256usize, 1024];
         let ctl = AdaptiveControl { target_rel_milli: 0, min_k: 1, max_k, batch };
-        let adaptive = sweep_ranks_adaptive(&stream, &cfg, &pts, ctl);
-        let fixed = sweep_ranks_replicated(&stream, &cfg, &pts, max_k);
-        prop_assert_eq!(adaptive, fixed);
+        let adaptive = sweep_ranks_replicated(&stream, &cfg, &pts, ctl);
+
+        // The oracle: the whole (rank point × replicate) grid as one plan,
+        // clamped to one replicate for a draw-free cell.
+        let takes_draws = !cfg.service_dist.is_deterministic() || cfg.fault.takes_draws();
+        let k = if takes_draws { max_k } else { 1 };
+        let mut plan = BatchPlan::new();
+        let id = plan.stream(&stream);
+        for &ranks in &pts {
+            for r in 0..k {
+                plan.push(id, &cfg.clone().with_ranks(ranks).with_seed(replicate_seed(cfg.seed, r)));
+            }
+        }
+        let grid = plan.execute();
+        let fixed: Vec<_> = pts
+            .iter()
+            .zip(grid.chunks(k))
+            .map(|(&ranks, reps)| {
+                let mut samples: Vec<u64> = reps.iter().map(|l| l.time_to_launch_ns).collect();
+                (ranks, reps[0], LaunchStats::from_samples(&mut samples))
+            })
+            .collect();
+        prop_assert_eq!(&adaptive, &fixed);
+        let fixed_k = AdaptiveControl::fixed(max_k);
+        prop_assert_eq!(sweep_ranks_replicated(&stream, &cfg, &pts, fixed_k), fixed);
     }
 
     /// Property 2: under a *live* rule, every replicate the adaptive run
@@ -109,7 +132,7 @@ proptest! {
         };
         let stream = ClassifiedStream::classify(&stream_of(&spec), &cfg);
         let ctl = AdaptiveControl { target_rel_milli: target, min_k: 2, max_k: 9, batch: 3 };
-        let adaptive = sweep_ranks_adaptive(&stream, &cfg, &[512], ctl);
+        let adaptive = sweep_ranks_replicated(&stream, &cfg, &[512], ctl);
         let (_, first, stats) = &adaptive[0];
 
         // The fixed max_k grid for the same point, one row per replicate.
@@ -132,7 +155,7 @@ proptest! {
         // And the adaptive run's summary is recomputable from the prefix
         // alone — nothing beyond the stopped-at K influenced it.
         let mut prefix: Vec<u64> = samples[..stats.replicates].to_vec();
-        let recomputed = depchaos::launch::LaunchStats::from_samples(&mut prefix);
+        let recomputed = LaunchStats::from_samples(&mut prefix);
         prop_assert_eq!(stats, &recomputed);
     }
 }

@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use depchaos::launch::{
     reference::simulate_launch_reference, replicate_seed, simulate_classified, simulate_launch,
-    sweep_ranks_replicated, BatchPlan, ClassifiedStream, FaultModel, LaunchConfig, LaunchStats,
-    ServiceDistribution,
+    sweep_ranks_replicated, AdaptiveControl, BatchPlan, ClassifiedStream, FaultModel, LaunchConfig,
+    LaunchStats, ServerTopology, ServiceDistribution,
 };
 use depchaos::vfs::{Op, Outcome, StraceLog, Syscall};
 use proptest::prelude::*;
@@ -231,7 +231,8 @@ proptest! {
             ..LaunchConfig::default()
         };
         let stream = ClassifiedStream::classify(&ops, &base);
-        let batched = sweep_ranks_replicated(&stream, &base, &points, replicates);
+        let batched =
+            sweep_ranks_replicated(&stream, &base, &points, AdaptiveControl::fixed(replicates));
         // The sweep clamps to one replicate only when *no* draws occur:
         // deterministic service and a draw-free fault model.
         let k = if base.service_dist.is_deterministic() && !base.fault.takes_draws() {
@@ -326,8 +327,9 @@ fn all_cold_contention_still_exact_at_scale() {
 }
 
 /// Fixed-seed integration pin: a whole matrix — every wrap state, every
-/// cache policy, all three service distributions — runs through the
-/// batched `ExperimentMatrix::run`, and every series / stats / queueing
+/// cache policy, all three service distributions, three fault models and
+/// two server topologies — runs through the batched
+/// `ExperimentMatrix::run`, and every series / stats / queueing
 /// entry equals a from-scratch per-call recomputation (fresh
 /// classification, per-replicate `simulate_classified`, the same M/G/1
 /// check). If any layer of the batch path — gathering, partitioning,
@@ -361,6 +363,7 @@ fn batched_matrix_is_bit_identical_to_per_call_recomputation() {
                 max_retries: 5,
             },
         ])
+        .topologies([ServerTopology::single(), ServerTopology::hash(2)])
         .replicates(replicates)
         .rank_points(rank_points);
     let cache = ProfileCache::new();
@@ -374,6 +377,7 @@ fn batched_matrix_is_bit_identical_to_per_call_recomputation() {
         let mut cfg = s.cache.apply(base.clone());
         cfg.service_dist = s.dist;
         cfg.fault = s.fault;
+        cfg.topology = s.topology;
         cfg.seed = scenario_seed(base.seed, &s.spec().label());
         let p = match cell.outcome(s.wrap) {
             Ok(p) => p,

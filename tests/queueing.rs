@@ -7,8 +7,8 @@ use std::time::Instant;
 
 use depchaos::launch::{
     mg1_bounds, reference::simulate_launch_reference, simulate_classified, sweep_ranks_replicated,
-    validate_against_mg1, BatchPlan, ClassifiedStream, ExperimentMatrix, LaunchConfig,
-    MatrixBackend, ProfileCache, ServiceDistribution, WrapState,
+    validate_against_mg1, AdaptiveControl, BatchPlan, ClassifiedStream, ExperimentMatrix,
+    LaunchConfig, MatrixBackend, ProfileCache, ServiceDistribution, WrapState,
 };
 use depchaos::vfs::{Op, Outcome, StorageModel, StraceLog, Syscall};
 use depchaos::workloads::{Axom, Pynamic, Rocm};
@@ -68,7 +68,7 @@ proptest! {
             ..LaunchConfig::default()
         };
         let stream = ClassifiedStream::classify(&ops, &cfg);
-        let rows = sweep_ranks_replicated(&stream, &cfg, &[ranks], 7);
+        let rows = sweep_ranks_replicated(&stream, &cfg, &[ranks], AdaptiveControl::fixed(7));
         let (_, _, stats) = rows[0];
         let b = mg1_bounds(&stream, &cfg.clone().with_ranks(ranks));
         prop_assert!(b.lower_ns <= b.upper_ns);
